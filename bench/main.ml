@@ -10,20 +10,20 @@
      dune exec bench/main.exe -- --quick all  # shorter simulations
      dune exec bench/main.exe -- --check all  # assert the paper's shape
      dune exec bench/main.exe -- --jobs 8 all # sweep points across domains
-     dune exec bench/main.exe -- --sim-domains 4 fig6  # parallel core per point
+     dune exec bench/main.exe -- --sim-domains 4 fig6  # workers per cluster
      dune exec bench/main.exe -- --json out.json all  # machine-readable results
 
    Every sweep point builds its own self-contained Cluster (own
    simulator, own split RNG streams), so points are independent:
    [--jobs N] fans them out across OCaml 5 domains and produces
    bitwise-identical figures to a sequential run. [--sim-domains N]
-   instead parallelizes inside each cluster (the conservative-lookahead
-   simulator core); figures are bitwise-identical for every N >= 1.
+   (default 1) instead parallelizes inside each cluster (the
+   conservative-lookahead simulator core); figures are
+   bitwise-identical for every N >= 1.
 
    Targets: fig6 fig7 fig8 fig9 wire parallel-d1 parallel-d8
-   parallel-smoke perf-smoke bench-gate soak soak-smoke headline claims
-   latency ablations micro all (all = everything except bench-gate,
-   the machine-sensitive CI gate) *)
+   parallel-smoke perf-smoke soak soak-smoke headline claims latency
+   ablations micro all *)
 
 module Cluster = Totem_cluster.Cluster
 module Config = Totem_cluster.Config
@@ -41,9 +41,7 @@ let quick = ref false
 let check = ref false
 let csv_dir = ref None
 let jobs = ref 1
-let sim_domains = ref 0
-let window_batch = ref true
-let max_horizon_factor = ref 8
+let sim_domains = ref 1
 let json_path = ref None
 let failures = ref []
 
@@ -57,7 +55,7 @@ let windows_batched_total = Atomic.make 0
 let windows_widened_total = Atomic.make 0
 
 (* Per-cluster accounting at the end of a point: events, the exchange's
-   window stats, and the worker-pool join (a no-op in classic mode). *)
+   window stats, and the worker-pool join. *)
 let note_cluster cluster =
   ignore (Atomic.fetch_and_add events_total (Metrics.events_processed cluster));
   (match Cluster.exchange cluster with
@@ -100,12 +98,11 @@ let parallel_map ~jobs f items = Totem_engine.Parallel.map ~jobs f items
    unconditionally (it is read-only) so figures are bitwise identical
    whether or not anyone looks at the telemetry. *)
 let run_point ?(const = Const.default) ?(wire = false) ?sim_domains:sd
-    ?window_batch:wb ~num_nodes ~num_nets ~style ~size () =
+    ~num_nodes ~num_nets ~style ~size () =
   let sim_domains = Option.value sd ~default:!sim_domains in
-  let window_batch = Option.value wb ~default:!window_batch in
   let config =
     Config.make ~num_nodes ~num_nets ~style ~const ~wire_bytes:wire ~sim_domains
-      ~window_batch ~max_horizon_factor:!max_horizon_factor ()
+      ()
   in
   let cluster = Cluster.create config in
   let sampler = Metrics.install_fault_sampler cluster ~interval:(Vtime.ms 50) in
@@ -313,14 +310,17 @@ let wire () =
 
 (* --- parallel: the conservative-lookahead simulator core ------------- *)
 
-(* The fig6 sweep executed under the parallel core at a fixed worker
-   count, so the points land in the JSON as their own targets. The
-   simulated figures are bitwise-identical for every worker count >= 1;
-   what changes between d1 and d8 is events_per_sec, which
+(* The fig6 sweep at a fixed worker count, so the points land in the
+   JSON as their own targets. The simulated figures are
+   bitwise-identical for every worker count >= 1; what changes between
+   d1 and d8 is events_per_sec, which
    compare.exe --targets parallel-d8 --against parallel-d1
-   --min-speedup R gates. *)
+   --min-speedup R gates. Always a fresh sweep (never the figure cache),
+   so each target times its own run. *)
 let parallel_d domains () =
-  let s = sweep_cached ~sim_domains:domains ~num_nodes:4 () in
+  let s = sweep ~sim_domains:domains ~num_nodes:4 () in
+  if not (Hashtbl.mem cache (4, false, domains)) then
+    Hashtbl.replace cache (4, false, domains) s;
   Hashtbl.replace fig_results
     (Printf.sprintf "parallel-d%d" domains)
     (List.map (fun (name, _, pts) -> (name, pts)) s);
@@ -362,8 +362,7 @@ let parallel_smoke () =
   let point ~domains size =
     let config =
       Config.make ~num_nodes:4 ~num_nets:2 ~style:Style.Passive ~wire_bytes:true
-        ~sim_domains:domains ~window_batch:!window_batch
-        ~max_horizon_factor:!max_horizon_factor ()
+        ~sim_domains:domains ()
     in
     let cluster = Cluster.create config in
     let sampler = Metrics.install_fault_sampler cluster ~interval:(Vtime.ms 50) in
@@ -403,69 +402,35 @@ let parallel_smoke () =
   end
   else Format.printf "  sim-domains 1 and 4 are bitwise identical@."
 
-(* Window-batching gate for `dune runtest` (perf-smoke): a quick fig6
-   slice at sim-domains 1 with batching on vs off must agree on every
-   figure, the event count and the protocol telemetry, AND the batched
-   run must actually engage — some barriers skipped, none skipped with
-   batching off. Both checks are deterministic (no wall clock), so this
-   cannot flake on a loaded CI host. Exits 1 on any breach. *)
+(* Window-batching smoke for `dune runtest` (perf-smoke): on a quick
+   fig6 slice the batched exchange must actually amortize — some
+   barriers skipped, some solo windows widened. Deterministic (window
+   counts, no wall clock), so it cannot flake on a loaded host; that
+   batching never changes results is the test suite's job, against an
+   unbatched reference scheduler. Exits 1 on a breach. *)
 let perf_smoke () =
-  let point ~batch size =
-    let config =
-      Config.make ~num_nodes:4 ~num_nets:2 ~style:Style.Passive ~wire_bytes:true
-        ~sim_domains:1 ~window_batch:batch
-        ~max_horizon_factor:!max_horizon_factor ()
-    in
-    let cluster = Cluster.create config in
-    let sampler = Metrics.install_fault_sampler cluster ~interval:(Vtime.ms 50) in
-    Cluster.start cluster;
-    Workload.saturate cluster ~size;
-    let tp =
-      Metrics.measure_throughput cluster ~warmup:(Vtime.ms 100)
-        ~duration:(Vtime.ms 200)
-    in
-    let pt = Metrics.collect_point_telemetry ~sampler cluster in
-    let events = Metrics.events_processed cluster in
-    let st =
-      Totem_engine.Exchange.stats (Option.get (Cluster.exchange cluster))
-    in
-    note_cluster cluster;
-    let fingerprint =
-      ( tp.Metrics.msgs_per_sec,
-        tp.Metrics.kbytes_per_sec,
-        events,
-        pt.Metrics.pt_rotation_count,
-        pt.Metrics.pt_retransmits_served,
-        pt.Metrics.pt_token_retransmits,
-        pt.Metrics.pt_duplicate_packets,
-        pt.Metrics.pt_trajectory )
-    in
-    (fingerprint, st)
-  in
   let failed = ref false in
   List.iter
     (fun size ->
-      let fa, sa = point ~batch:true size in
-      let fb, sb = point ~batch:false size in
-      let ok = fa = fb in
-      if not ok then failed := true;
-      Format.printf
-        "  %5dB: batched %s unbatched  (windows %d vs %d, skipped %d, widened \
-         %d)@."
-        size
-        (if ok then "==" else "DIVERGES FROM")
-        sa.Totem_engine.Exchange.windows_run
-        sb.Totem_engine.Exchange.windows_run
-        sa.Totem_engine.Exchange.windows_batched
-        sa.Totem_engine.Exchange.windows_widened;
-      if sa.Totem_engine.Exchange.windows_batched = 0 then begin
+      let config =
+        Config.make ~num_nodes:4 ~num_nets:2 ~style:Style.Passive
+          ~wire_bytes:true ()
+      in
+      let cluster = Cluster.create config in
+      Cluster.start cluster;
+      Workload.saturate cluster ~size;
+      Cluster.run_for cluster (Vtime.ms 300);
+      let st =
+        Totem_engine.Exchange.stats (Option.get (Cluster.exchange cluster))
+      in
+      note_cluster cluster;
+      Format.printf "  %5dB: windows %d, skipped %d, widened %d@." size
+        st.Totem_engine.Exchange.windows_run
+        st.Totem_engine.Exchange.windows_batched
+        st.Totem_engine.Exchange.windows_widened;
+      if st.Totem_engine.Exchange.windows_batched = 0 then begin
         Format.printf "  %5dB: batching never engaged (0 barriers skipped)@."
           size;
-        failed := true
-      end;
-      if sb.Totem_engine.Exchange.windows_batched > 0 then begin
-        Format.printf "  %5dB: batching disabled yet %d barriers skipped@." size
-          sb.Totem_engine.Exchange.windows_batched;
         failed := true
       end)
     [ 700; 1024 ];
@@ -473,51 +438,7 @@ let perf_smoke () =
     Format.printf "  window batching BREACHED the perf-smoke gate@.";
     exit 1
   end
-  else
-    Format.printf
-      "  batching on/off bitwise identical; amortization engaged@."
-
-(* Overhead gate for `dune runtest` (bench-gate): the parallel core at
-   one domain, batching on, must hold >= 85% of the legacy
-   single-simulator event rate over the fig6 sweep. Events/sec is
-   wall-clock, so this is the one machine-sensitive gate; each side
-   takes its fastest of five sweeps — the minimum wall time is the
-   run least disturbed by the scheduler, which is the standard way to
-   compare two deterministic workloads on a shared machine. *)
-let bench_gate () =
-  let best = [| 0.0; 0.0 |] in
-  let best_wall = [| infinity; infinity |] in
-  let timed side sd =
-    let ev0 = Atomic.get events_total in
-    let t0 = Unix.gettimeofday () in
-    ignore (sweep ~sim_domains:sd ~num_nodes:4 ());
-    let wall = Unix.gettimeofday () -. t0 in
-    let rate = float_of_int (Atomic.get events_total - ev0) /. wall in
-    if rate > best.(side) then begin
-      best.(side) <- rate;
-      best_wall.(side) <- wall
-    end
-  in
-  (* Interleave the sides rather than timing one after the other: a
-     sustained machine slowdown (another job landing mid-gate) then
-     degrades both pools instead of silently taxing whichever side ran
-     second, which is what turns a 0.89 margin into a spurious fail. *)
-  for _ = 1 to 5 do
-    timed 0 0;
-    timed 1 1
-  done;
-  let legacy = best.(0) and lw = best_wall.(0) in
-  let d1 = best.(1) and dw = best_wall.(1) in
-  let ratio = d1 /. legacy in
-  Format.printf
-    "  legacy     %8.0fk events/sec  (%.2fs wall)@.  parallel-d1%8.0fk \
-     events/sec  (%.2fs wall)@.  ratio %.3f (floor 0.85)@."
-    (legacy /. 1e3) lw (d1 /. 1e3) dw ratio;
-  if ratio < 0.85 then begin
-    Format.printf "  parallel-d1 BELOW the 85%% overhead floor@.";
-    exit 1
-  end
-  else Format.printf "  parallel-d1 within the overhead budget@."
+  else Format.printf "  window batching engaged@."
 
 (* --- soak: a long gray-failure campaign ----------------------------- *)
 
@@ -568,8 +489,7 @@ let soak_run ?sim_domains:sd () =
   in
   let config =
     Config.make ~num_nodes:4 ~num_nets:2 ~style:Style.Passive ~rrp
-      ~wire_bytes:true ~sim_domains ~window_batch:!window_batch
-      ~max_horizon_factor:!max_horizon_factor ()
+      ~wire_bytes:true ~sim_domains ()
   in
   let cluster = Cluster.create config in
   Cluster.start cluster;
@@ -1010,15 +930,16 @@ type target_run = {
   tr_name : string;
   tr_wall_sec : float;
   tr_events : int;
-  (* Gc.quick_stat deltas over the target: allocation pressure is a
-     first-class regression axis (compare.exe --max-alloc-regression).
-     Words are per-process; with --jobs > 1 worker-domain allocation is
-     not counted, so alloc-gated baselines should be cut at --jobs 1. *)
+  (* GC deltas over the target (minor words exact, from
+     Gc.minor_words; the rest from Gc.quick_stat): allocation pressure
+     is a first-class regression axis (compare.exe
+     --max-alloc-regression, gate.exe). Words are per-domain; with
+     --jobs > 1 or --sim-domains > 1 worker-domain allocation is not
+     counted, so alloc-gated baselines should be cut at 1 and 1. *)
   tr_minor_words : float;
   tr_major_words : float;
   tr_minor_collections : int;
-  (* Exchange window counters summed over the target's partitioned
-     clusters; all zero for legacy (sim-domains 0) targets. *)
+  (* Exchange window counters summed over the target's clusters. *)
   tr_windows_run : int;
   tr_windows_batched : int;
   tr_windows_widened : int;
@@ -1261,7 +1182,6 @@ let all_targets =
     ("parallel-d8", parallel_d8);
     ("parallel-smoke", parallel_smoke);
     ("perf-smoke", perf_smoke);
-    ("bench-gate", bench_gate);
     ("soak", soak);
     ("soak-smoke", soak_smoke);
     ("headline", headline);
@@ -1300,8 +1220,6 @@ let value_options =
   [
     ("--jobs", fun v -> jobs := int_of_string v);
     ("--sim-domains", fun v -> sim_domains := int_of_string v);
-    ("--window-batch", fun v -> window_batch := bool_of_string v);
-    ("--max-horizon-factor", fun v -> max_horizon_factor := int_of_string v);
     ("--json", fun v -> json_path := Some v);
     ("--csv", fun v -> csv_dir := Some v);
   ]
@@ -1327,16 +1245,13 @@ let () =
   in
   let args = parse (List.tl (Array.to_list Sys.argv)) in
   if !jobs < 1 then failwith "--jobs must be >= 1";
-  if !sim_domains < 0 then failwith "--sim-domains must be >= 0";
-  if !max_horizon_factor < 1 then failwith "--max-horizon-factor must be >= 1";
+  (match Config.validate (Config.make ~sim_domains:!sim_domains ()) with
+  | Ok () -> ()
+  | Error msg ->
+    prerr_endline ("main.exe: --sim-domains: " ^ msg);
+    exit 2);
   let targets =
-    (* [all] excludes bench-gate: it is a pass/fail CI gate on a
-       machine-sensitive wall-clock ratio, not a measurement — it would
-       abort a baseline-JSON run on a noisy machine. Run it explicitly
-       or via the `bench-gate` runtest alias. *)
-    if args = [] || List.mem "all" args then
-      List.filter (fun t -> t <> "bench-gate") (List.map fst all_targets)
-    else args
+    if args = [] || List.mem "all" args then List.map fst all_targets else args
   in
   let runs = ref [] in
   List.iter
@@ -1348,11 +1263,11 @@ let () =
         let wr0 = Atomic.get windows_run_total in
         let wb0 = Atomic.get windows_batched_total in
         let ww0 = Atomic.get windows_widened_total in
-        let g0 = Gc.quick_stat () in
+        let g0 = Gc.quick_stat () and m0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         f ();
         let wall_sec = Unix.gettimeofday () -. t0 in
-        let g1 = Gc.quick_stat () in
+        let g1 = Gc.quick_stat () and m1 = Gc.minor_words () in
         let events = Atomic.get events_total - ev0 in
         Report.print_sim_rate ~events ~wall_sec ();
         runs :=
@@ -1360,7 +1275,7 @@ let () =
             tr_name = t;
             tr_wall_sec = wall_sec;
             tr_events = events;
-            tr_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+            tr_minor_words = m1 -. m0;
             tr_major_words = g1.Gc.major_words -. g0.Gc.major_words;
             tr_minor_collections =
               g1.Gc.minor_collections - g0.Gc.minor_collections;

@@ -63,7 +63,7 @@ let gray_alphabet ~num_nets =
 let make ?(num_nodes = 3) ?(num_nets = 2) ?(style = Totem_rrp.Style.Active)
     ?(seed = 42) ?(wire = true) ?(depth = 3) ?alphabet ?gap
     ?(settle = Vtime.ms 40) ?(hold = Vtime.ms 40) ?(quiesce = Vtime.ms 500)
-    ?(monitor = Invariant.default) ?(sim_domains = 0) ?(reinstate = false) () =
+    ?(monitor = Invariant.default) ?(sim_domains = 1) ?(reinstate = false) () =
   let alphabet =
     match alphabet with Some a -> a | None -> default_alphabet ~num_nets
   in
@@ -94,8 +94,8 @@ let calibrated_gap cfg =
   | Some g -> g
   | None ->
     (* Measure the token-rotation time on a clean run of the same
-       cluster shape (classic core: calibration must not depend on
-       [sim_domains]). One rotation = one token visit at node 0. *)
+       cluster shape, at the default worker count (any count gives the
+       same answer). One rotation = one token visit at node 0. *)
     let config =
       Cluster_config.make ~num_nodes:cfg.num_nodes ~num_nets:cfg.num_nets
         ~style:cfg.style ~seed:cfg.seed ~wire_bytes:cfg.wire ()

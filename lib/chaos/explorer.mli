@@ -75,7 +75,7 @@ val make :
   config
 (** Defaults: 3 nodes, 2 nets, active style, seed 42, wire on, depth 3,
     {!default_alphabet}, calibrated gap, 40 ms settle, 40 ms hold,
-    500 ms quiesce, {!Invariant.default}, classic simulator core,
+    500 ms quiesce, {!Invariant.default}, one simulator worker domain,
     reinstatement off. *)
 
 val default_alphabet : num_nets:int -> Campaign.op list
@@ -94,8 +94,8 @@ val gray_alphabet : num_nets:int -> Campaign.op list
 
 val calibrated_gap : config -> Totem_engine.Vtime.t
 (** The decision-point spacing actually used: [config.gap] when given,
-    otherwise twice the token-rotation time measured on a clean,
-    classic-mode run of the same cluster shape (floored at 5 ms so
+    otherwise twice the token-rotation time measured on a clean run of
+    the same cluster shape at the default worker count (floored at 5 ms so
     fault effects — token timeouts, problem-counter increments — can
     land between consecutive decisions). Deterministic per config. *)
 
@@ -192,7 +192,8 @@ val stabilize : config -> points:int -> stabilize_report
     transient fault; membership churn and token gaps while the ring
     reforms are the expected recovery path), and the report instead
     checks the protocol returned to a live, progressing ring.
-    Perturbations mutate node state from the coordinator, so this mode
-    always runs the classic core ([sim_domains] is ignored) and its
-    runs are not replayable counterexamples.
+    Perturbations mutate node state from run boundaries, where every
+    node clock reads the cluster clock; the mode runs at the default
+    worker count ([sim_domains] is ignored) and its runs are not
+    replayable counterexamples.
     @raise Invalid_argument if [points < 1]. *)

@@ -43,8 +43,7 @@ let slice = Vtime.ms 25
 let recorder_capacity = 64
 
 let run ?(monitor = Invariant.default) ?sink ?(shadow = false)
-    ?(sim_domains = 0) ?(window_batch = true) ?(max_horizon_factor = 8)
-    ?prepare ?(probes = []) ?(end_checks = true) campaign =
+    ?(sim_domains = 1) ?prepare ?(probes = []) ?(end_checks = true) campaign =
   (match Campaign.validate campaign with
   | Ok () -> ()
   | Error m -> invalid_arg ("Runner.run: invalid campaign: " ^ m));
@@ -58,7 +57,7 @@ let run ?(monitor = Invariant.default) ?sink ?(shadow = false)
     Config.make ~num_nodes:campaign.Campaign.num_nodes
       ~num_nets:campaign.Campaign.num_nets ~style:campaign.Campaign.style
       ~seed:campaign.Campaign.seed ~rrp ~wire_bytes:campaign.Campaign.wire
-      ~codec_shadow:shadow ~sim_domains ~window_batch ~max_horizon_factor ()
+      ~codec_shadow:shadow ~sim_domains ()
   in
   let cluster = Cluster.create config in
   let mon = Invariant.attach cluster monitor campaign in

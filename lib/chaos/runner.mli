@@ -35,8 +35,6 @@ val run :
   ?sink:(Totem_engine.Vtime.t -> Totem_engine.Telemetry.event -> unit) ->
   ?shadow:bool ->
   ?sim_domains:int ->
-  ?window_batch:bool ->
-  ?max_horizon_factor:int ->
   ?prepare:(Totem_cluster.Cluster.t -> unit) ->
   ?probes:(Totem_engine.Vtime.t * (Totem_cluster.Cluster.t -> unit)) list ->
   ?end_checks:bool ->
@@ -45,14 +43,9 @@ val run :
 (** Deterministic: equal campaigns and monitor configs give equal
     results, violations included. [sink] additionally streams every
     telemetry event (e.g. {!Totem_engine.Telemetry.jsonl_sink}).
-    [sim_domains] (default 0) selects {!Config.sim_domains}: under the
-    parallel core the run — violations, replay dumps and all — is
+    [sim_domains] (default 1) selects {!Config.sim_domains}, the
+    worker count: the run — violations, replay dumps and all — is
     bitwise-identical for every [sim_domains >= 1].
-    [window_batch] (default true) and [max_horizon_factor] (default 8)
-    select {!Config.window_batch} / {!Config.max_horizon_factor}; both
-    are ignored on the legacy path, and under the parallel core results
-    are bitwise-identical whatever they are set to — exposed so the
-    determinism tests can run the batched and unbatched legs.
     [shadow] (default false) arms [Config.codec_shadow]: every frame the
     cluster carries is round-tripped through the binary codec, and in
     byte-wire campaigns ([Campaign.wire]) the check runs on what the

@@ -26,30 +26,36 @@ type t = {
     unit)
     list;
   mutable reports : (Totem_net.Addr.node_id * Rrp.Fault_report.t) list;
-  (* Decode-once delivery (wire mode with wire_cache): one cache per
-     cluster, shared by every receiving NIC — the point is precisely
-     that M receivers of a broadcast recognize the same physical byte
-     string. Per-cluster, never global: bench sweeps run clusters on
-     parallel domains. Under the parallel core the cache is per node
-     instead ([decode_caches]): receivers on different domains must not
-     share a mutable cache, so each node recognizes its own copy once. *)
-  decode_cache : Srp.Codec.decode_cache option;
+  (* Decode-once delivery (wire mode with wire_cache). [primed] holds
+     the decoded image of every frame the cluster encodes: the encoder
+     runs in the barrier flush, while no partition runs, so receivers
+     on any domain may read it during windows without a race — and a
+     broadcast is decoded once for all M receivers. Each node also
+     keeps its own cache (which it alone writes) for images the primed
+     ring has already evicted. *)
+  primed : Srp.Codec.decode_cache option;
   decode_caches : Srp.Codec.decode_cache array option;
-  (* Parallel simulator core (Config.sim_domains > 0): per-node
-     partition simulators and buffered telemetry hubs, synchronized by
-     the exchange. In classic mode every slot aliases [sim] / [trace]
-     and [exchange] is [None]. *)
+  (* The parallel simulator core: one partition simulator and one
+     buffered telemetry hub per node, synchronized with the coordinator
+     [sim] by the exchange. *)
   node_sims : Sim.t array;
   node_tele : Telemetry.t array;
-  mutable exchange : Exchange.t option;
+  exchange : Exchange.t;
 }
+
+(* Run every installed hook; a plain recursion, so a delivery allocates
+   no iteration closure. *)
+let rec run_deliver_hooks id m = function
+  | [] -> ()
+  | h :: rest ->
+    h id m;
+    run_deliver_hooks id m rest
 
 let build_node t id =
   let config = t.config in
-  (* Classic mode: every node's sim/telemetry alias the cluster's. Under
-     the parallel core each node gets its own partition and buffered
-     hub, and cluster-level hook callbacks are deferred through the hub
-     so they fire at barriers in canonical (time, node, seq) order. *)
+  (* Each node runs on its own partition with its own buffered hub;
+     cluster-level hook callbacks are deferred through the hub so they
+     fire at barriers in canonical (time, node, seq) order. *)
   let nsim = t.node_sims.(id) in
   let ntl = t.node_tele.(id) in
   let cpu = Cpu.create nsim ~name:(Printf.sprintf "cpu%d" id) in
@@ -63,7 +69,7 @@ let build_node t id =
         (fun m ->
           if t.deliver_hooks <> [] then
             Telemetry.defer ntl (fun () ->
-                List.iter (fun h -> h id m) t.deliver_hooks));
+                run_deliver_hooks id m t.deliver_hooks));
       on_ring_change =
         (fun ~ring_id ~members ->
           if t.ring_hooks <> [] then
@@ -102,16 +108,12 @@ let build_node t id =
      semantic validation; any failure discards the frame before the RRP
      sees it, which is how corruption becomes the loss that feeds
      problemCounter (active) and stalls recvCount (passive). *)
-  let decode_cache =
-    match t.decode_caches with
-    | Some caches -> Some caches.(id)
-    | None -> t.decode_cache
-  in
+  let decode_cache = Option.map (fun caches -> caches.(id)) t.decode_caches in
   let receive ~net frame =
     match frame.Totem_net.Frame.payload with
     | Totem_net.Frame.Bytes _ -> (
       match
-        Srp.Codec.decode_frame ?cache:decode_cache
+        Srp.Codec.decode_frame ?cache:decode_cache ?shared:t.primed
           ~max_node:(config.Config.num_nodes - 1) frame
       with
       | Ok frame ->
@@ -146,11 +148,13 @@ let create config =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cluster.create: " ^ msg));
   let num_nodes = config.Config.num_nodes in
-  let partitioned = config.Config.sim_domains > 0 in
   let sim = Sim.create ~seed:config.Config.seed () in
   (* One telemetry hub per cluster; [Trace.t] is an alias for it, so the
-     legacy trace API and the structured registry share the stream. *)
+     legacy trace API and the structured registry share the stream. It
+     buffers its own emissions too, so coordinator-side events merge
+     with the nodes' in canonical order at each barrier. *)
   let telemetry = Telemetry.create sim in
+  Telemetry.set_buffering telemetry true;
   (* Partition assignment is structural: one simulator per node plus the
      coordinator [sim], whatever the domain count — Config.sim_domains
      only sets how many workers execute them, which is what keeps
@@ -160,29 +164,27 @@ let create config =
      coordinator-side at barriers); only node-targeted workload
      generators use node-partition streams. *)
   let node_sims =
-    if partitioned then
-      Array.init num_nodes (fun i ->
-          Sim.create ~seed:(config.Config.seed + (1000003 * (i + 1))) ())
-    else Array.make num_nodes sim
+    Array.init num_nodes (fun i ->
+        Sim.create ~seed:(config.Config.seed + (1000003 * (i + 1))) ())
   in
   let node_tele =
-    if partitioned then begin
-      Telemetry.set_buffering telemetry true;
-      Array.init num_nodes (fun i ->
-          Telemetry.create_child telemetry ~source:i node_sims.(i))
-    end
-    else Array.make num_nodes telemetry
+    Array.init num_nodes (fun i ->
+        Telemetry.create_child telemetry ~source:i node_sims.(i))
   in
   let fabric =
-    Totem_net.Fabric.create sim ~num_nodes
+    Totem_net.Fabric.create sim ~parts:node_sims
       ~num_nets:config.Config.num_nets ~config:config.Config.net
-      ?configs:config.Config.net_configs ~telemetry ()
+      ?configs:config.Config.net_configs ~telemetry ~node_telemetry:node_tele
+      ()
   in
-  if partitioned then
-    Totem_net.Fabric.set_partitions fabric ~node_telemetry:node_tele node_sims;
   let cached = config.Config.wire_bytes && config.Config.wire_cache in
   let encode_cache =
     if cached then Some (Srp.Codec.encode_cache ()) else None
+  in
+  let exchange =
+    Exchange.create ~domains:config.Config.sim_domains
+      ~lookahead:(Totem_net.Fabric.min_latency fabric)
+      ~global:sim ~parts:node_sims ()
   in
   let t =
     {
@@ -195,39 +197,34 @@ let create config =
       report_hooks = [];
       ring_hooks = [];
       reports = [];
-      decode_cache =
-        (if cached && not partitioned then Some (Srp.Codec.decode_cache ())
-         else None);
+      primed = (if cached then Some (Srp.Codec.decode_cache ()) else None);
       decode_caches =
-        (if cached && partitioned then
+        (if cached then
            Some (Array.init num_nodes (fun _ -> Srp.Codec.decode_cache ()))
          else None);
       node_sims;
       node_tele;
-      exchange = None;
+      exchange;
     }
   in
   if config.Config.wire_bytes then begin
     (* The fabric-level memo and the codec-level caches are the two
        halves of encode-once fan-out; both off when wire_cache is
        false (the A/B baseline re-serializes every copy). *)
+    let max_node = num_nodes - 1 in
     Totem_net.Fabric.set_wire_encoder fabric ~memoize:cached (fun frame ->
-        Srp.Codec.encode_frame ?cache:encode_cache frame);
-    let decode_stats =
-      match (t.decode_cache, t.decode_caches) with
-      | Some dc, _ -> Some (fun () -> Srp.Codec.decode_cache_stats dc)
-      | None, Some caches ->
-        Some
-          (fun () ->
-            Array.fold_left
-              (fun (h, m) dc ->
-                let h', m' = Srp.Codec.decode_cache_stats dc in
-                (h + h', m + m'))
-              (0, 0) caches)
-      | None, None -> None
-    in
-    match (encode_cache, decode_stats) with
-    | Some ec, Some ds ->
+        let encoded = Srp.Codec.encode_frame ?cache:encode_cache frame in
+        Option.iter (fun primed -> Srp.Codec.prime primed ~max_node encoded) t.primed;
+        encoded);
+    match (encode_cache, t.decode_caches) with
+    | Some ec, Some caches ->
+      let decode_stats () =
+        Array.fold_left
+          (fun (h, m) dc ->
+            let h', m' = Srp.Codec.decode_cache_stats dc in
+            (h + h', m + m'))
+          (0, 0) caches
+      in
       let g name read =
         Telemetry.gauge telemetry ("wire." ^ name) (fun () ->
             float_of_int (read ()))
@@ -235,45 +232,32 @@ let create config =
       g "encode_cache_hits" (fun () -> fst (Srp.Codec.encode_cache_stats ec));
       g "encode_cache_misses" (fun () ->
           snd (Srp.Codec.encode_cache_stats ec));
-      g "decode_cache_hits" (fun () -> fst (ds ()));
-      g "decode_cache_misses" (fun () -> snd (ds ()))
+      g "decode_cache_hits" (fun () -> fst (decode_stats ()));
+      g "decode_cache_misses" (fun () -> snd (decode_stats ()))
     | _ -> ()
   end;
   t.nodes <- Array.init num_nodes (build_node t);
-  if partitioned then begin
-    let exchange =
-      Exchange.create ~domains:config.Config.sim_domains
-        ~batching:config.Config.window_batch
-        ~max_horizon_factor:config.Config.max_horizon_factor
-        ~lookahead:(Totem_net.Fabric.min_latency fabric)
-        ~global:sim ~parts:node_sims ()
-    in
-    (* Barrier order matters: flushing sends first lets the network
-       layer's own telemetry (loss, corruption, blocks) join the same
-       drain that dispatches node events. Both hooks report pending
-       work via ~next — with batching on, a missing ~next would let a
-       skip-flush barrier strand buffered work past its window. *)
-    Exchange.add_barrier_hook exchange
-      ~next:(fun () -> Totem_net.Fabric.outbox_next fabric)
-      (fun _h1 -> Totem_net.Fabric.flush_outboxes fabric);
-    Exchange.add_barrier_hook exchange
-      ~next:(fun () -> Telemetry.buffered_next telemetry ~children:node_tele)
-      (fun _h1 ->
-        Telemetry.drain telemetry ~children:node_tele
-          ~set_clock:(Sim.unsafe_set_clock sim));
-    let g name read =
-      Telemetry.gauge telemetry ("exchange." ^ name) (fun () -> read ())
-    in
-    g "windows_run" (fun () ->
-        float_of_int (Exchange.stats exchange).Exchange.windows_run);
-    g "windows_batched" (fun () ->
-        float_of_int (Exchange.stats exchange).Exchange.windows_batched);
-    g "windows_widened" (fun () ->
-        float_of_int (Exchange.stats exchange).Exchange.windows_widened);
-    g "max_window_us" (fun () ->
-        float_of_int (Exchange.stats exchange).Exchange.max_window /. 1000.);
-    t.exchange <- Some exchange
-  end;
+  (* Barrier order matters: flushing sends first lets the network
+     layer's own telemetry (loss, corruption, blocks) join the same
+     drain that dispatches node events. Both hooks report pending work
+     via ~next — a missing ~next would let a skip-flush barrier strand
+     buffered work past its window. *)
+  Exchange.add_barrier_hook exchange
+    ~next:(fun () -> Totem_net.Fabric.outbox_next fabric)
+    (fun _h1 -> Totem_net.Fabric.flush_outboxes fabric);
+  let set_clock = Sim.unsafe_set_clock sim in
+  Exchange.add_barrier_hook exchange
+    ~next:(fun () -> Telemetry.buffered_next telemetry ~children:node_tele)
+    (fun _h1 -> Telemetry.drain telemetry ~children:node_tele ~set_clock);
+  let g name read =
+    Telemetry.gauge telemetry ("exchange." ^ name) (fun () ->
+        float_of_int (read (Exchange.stats exchange)))
+  in
+  g "windows_run" (fun s -> s.Exchange.windows_run);
+  g "windows_batched" (fun s -> s.Exchange.windows_batched);
+  g "windows_widened" (fun s -> s.Exchange.windows_widened);
+  Telemetry.gauge telemetry "exchange.max_window_us" (fun () ->
+      float_of_int (Exchange.stats exchange).Exchange.max_window /. 1000.);
   for i = 0 to config.Config.num_nets - 1 do
     let net = Totem_net.Fabric.network fabric i in
     let g name read =
@@ -311,24 +295,14 @@ let sim t = t.sim
 let node_sim t id = t.node_sims.(id)
 let now t = Sim.now t.sim
 
-let run_until t time =
-  match t.exchange with
-  | Some ex -> Exchange.run_until ex time
-  | None -> Sim.run_until t.sim time
-
+let run_until t time = Exchange.run_until t.exchange time
 let run_for t d = run_until t (Vtime.add (Sim.now t.sim) d)
-
-let shutdown t =
-  match t.exchange with Some ex -> Exchange.shutdown ex | None -> ()
+let shutdown t = Exchange.shutdown t.exchange
 let config t = t.config
 let trace t = t.trace
 let telemetry t = t.trace
-let exchange t = t.exchange
-
-let events_processed t =
-  match t.exchange with
-  | Some ex -> Exchange.events_processed ex
-  | None -> Sim.events_processed t.sim
+let exchange t = Some t.exchange
+let events_processed t = Exchange.events_processed t.exchange
 
 let num_nodes t = Array.length t.nodes
 let node t id = t.nodes.(id)

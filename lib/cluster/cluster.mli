@@ -25,36 +25,36 @@ val start_cold : t -> unit
 
 val sim : t -> Totem_engine.Sim.t
 (** The coordinator simulator: the cluster clock, and where harness
-    code (chaos schedules, samplers, burst injections) schedules. In
-    classic mode ([Config.sim_domains = 0]) it is the only simulator. *)
+    code (chaos schedules, samplers, burst injections) schedules. *)
 
 val node_sim : t -> Totem_net.Addr.node_id -> Totem_engine.Sim.t
-(** The node's partition simulator under the parallel core; aliases
-    {!sim} in classic mode. Workload generators targeting one node
-    schedule here so pacing ticks run inside the node's partition. *)
+(** The node's partition simulator. Workload generators targeting one
+    node schedule here so pacing ticks run inside the node's
+    partition. *)
 
 val exchange : t -> Totem_engine.Exchange.t option
-(** The conservative-lookahead exchange driving the partitions, when
-    [Config.sim_domains > 0]. *)
+(** The conservative-lookahead exchange driving the partitions. Always
+    [Some]: every cluster runs partitioned; the option only keeps
+    existing callers compiling. *)
 
 val events_processed : t -> int
 (** Simulator work done: events across the coordinator and every node
-    partition (classic mode: the single simulator's count). *)
+    partition. *)
 
 val now : t -> Totem_engine.Vtime.t
 
 val run_until : t -> Totem_engine.Vtime.t -> unit
-(** Classic mode: [Sim.run_until]. Parallel mode: [Exchange.run_until]
-    — on return every partition has processed all events [<= time],
-    all cross-partition traffic is flushed, and [now t = time]. *)
+(** [Exchange.run_until]: on return every partition has processed all
+    events [<= time], all cross-partition traffic is flushed, and the
+    coordinator and every node clock read [time]. *)
 
 val run_for : t -> Totem_engine.Vtime.t -> unit
 
 val shutdown : t -> unit
-(** Joins the parallel core's worker-domain pool, if any. Idempotent
-    and safe in classic mode (a no-op); the cluster remains usable —
-    the pool respawns on the next parallel [run_until]. Call when done
-    with a cluster so no domains outlive it. *)
+(** Joins the exchange's worker-domain pool, if any was spawned.
+    Idempotent; the cluster remains usable — the pool respawns on the
+    next multi-domain [run_until]. Call when done with a cluster so no
+    domains outlive it. *)
 
 val config : t -> Config.t
 

@@ -12,16 +12,13 @@ type t = {
   wire_bytes : bool;
   wire_cache : bool;
   sim_domains : int;
-  window_batch : bool;
-  max_horizon_factor : int;
 }
 
 let make ?(num_nodes = 4) ?(num_nets = 2) ?(style = Totem_rrp.Style.Passive)
     ?(const = Totem_srp.Const.default) ?(rrp = Totem_rrp.Rrp_config.default)
     ?(net = Totem_net.Network.default_config) ?net_configs
     ?(buffer_bytes = 65536) ?(seed = 42) ?(codec_shadow = false)
-    ?(wire_bytes = false) ?(wire_cache = true) ?(sim_domains = 0)
-    ?(window_batch = true) ?(max_horizon_factor = 8) () =
+    ?(wire_bytes = false) ?(wire_cache = true) ?(sim_domains = 1) () =
   {
     num_nodes;
     num_nets;
@@ -36,8 +33,6 @@ let make ?(num_nodes = 4) ?(num_nets = 2) ?(style = Totem_rrp.Style.Passive)
     wire_bytes;
     wire_cache;
     sim_domains;
-    window_batch;
-    max_horizon_factor;
   }
 
 let paper_testbed ~num_nodes ~style = make ~num_nodes ~num_nets:2 ~style ()
@@ -54,10 +49,9 @@ let min_net_latency t =
 let validate t =
   if t.num_nodes < 1 then Error "need at least one node"
   else if t.num_nets < 1 then Error "need at least one network"
-  else if t.sim_domains < 0 then Error "sim_domains must be >= 0"
-  else if t.sim_domains > 0 && min_net_latency t <= 0 then
-    Error "sim_domains requires a positive network latency (the lookahead)"
-  else if t.max_horizon_factor < 1 then Error "max_horizon_factor must be >= 1"
+  else if t.sim_domains < 1 then Error "sim_domains must be >= 1"
+  else if min_net_latency t <= 0 then
+    Error "the network latency (the exchange lookahead) must be positive"
   else
     match t.net_configs with
     | Some cs when Array.length cs <> t.num_nets ->

@@ -36,29 +36,13 @@ type t = {
           re-decodes every copy (the A/B baseline the equivalence
           tests compare against). Ignored unless [wire_bytes] *)
   sim_domains : int;
-      (** parallel simulator core: [0] (the default) runs the classic
-          single-simulator event loop; [N >= 1] partitions the cluster
-          into one event domain per node plus a coordinator,
-          synchronized by conservative lookahead (the minimum network
-          latency) and executed on [N] OCaml domains. Figures,
-          telemetry streams and chaos replays are bitwise-identical
-          for every [N >= 1] — [N] only sets the worker count — but
-          may differ from the [0] legacy path, whose send interleaving
-          at equal timestamps is scheduling-order rather than
-          canonical (time, node, seq) order *)
-  window_batch : bool;
-      (** amortized barriers for the parallel core (default [true]):
-          barriers with no pending cross-partition work skip their
-          flush pass, and stretches where a single node owns all
-          near-term work run under an adaptively widened window (see
-          [max_horizon_factor]). Results are bitwise-identical with
-          batching on or off — the flag exists for A/B overhead
-          measurement and as the baseline leg of the determinism
-          tests. Ignored unless [sim_domains > 0] *)
-  max_horizon_factor : int;
-      (** widest adaptive window, as a multiple of the lookahead
-          (default [8]). [1] keeps every window at one lookahead even
-          with batching on. Ignored unless [window_batch] *)
+      (** worker domains for the simulator core (default [1]). The
+          cluster is always partitioned into one event domain per node
+          plus a coordinator, synchronized by conservative lookahead
+          (the minimum network latency); this only sets how many OCaml
+          domains execute the partitions. Figures, telemetry streams
+          and chaos replays are bitwise-identical for every value.
+          Must be [>= 1] *)
 }
 
 val make :
@@ -75,8 +59,6 @@ val make :
   ?wire_bytes:bool ->
   ?wire_cache:bool ->
   ?sim_domains:int ->
-  ?window_batch:bool ->
-  ?max_horizon_factor:int ->
   unit ->
   t
 (** Defaults: the paper's four-node, two-network testbed with passive
@@ -90,7 +72,9 @@ val paper_testbed : num_nodes:int -> style:Totem_rrp.Style.t -> t
 
 val min_net_latency : t -> Totem_engine.Vtime.t
 (** Minimum configured network latency — the conservative lookahead
-    bound the parallel simulator core ([sim_domains > 0]) synchronizes
-    on. *)
+    bound the simulator core synchronizes on. *)
 
 val validate : t -> (unit, string) result
+(** [Error] names the first offending field, e.g.
+    ["sim_domains must be >= 1"]. {!Cluster.create} rejects an invalid
+    config with it. *)

@@ -16,9 +16,8 @@ let all_nodes t = List.init (Cluster.num_nodes t) (fun i -> i)
 let saturate t ~size = saturate_nodes t ~nodes:(all_nodes t) ~size
 
 (* Suppliers run inside the owning node's event stream, so their RNG
-   must be a per-node stream: under the parallel core a shared cluster
-   stream would be raced by worker domains. In classic mode node_sim
-   aliases the cluster sim, so the split sequence is unchanged. *)
+   must be a per-node stream: a shared cluster stream would be raced by
+   worker domains. *)
 let saturate_mixed t ~sizes =
   if Array.length sizes = 0 then invalid_arg "Workload.saturate_mixed";
   List.iter

@@ -146,28 +146,36 @@ let pop_root t =
   refresh_root t;
   root
 
-let rec pop t =
-  if t.size = 0 then None
-  else
-    let root = pop_root t in
-    if root.dead then pop t
-    else begin
-      (* Mark fired so a later cancel of this handle is a no-op. *)
-      root.dead <- true;
-      t.live <- t.live - 1;
-      Some (root.time, root.value)
-    end
-
-let rec peek_key t =
-  if t.size = 0 then None
-  else if t.heap.(0).dead then begin
-    ignore (pop_root t);
-    peek_key t
-  end
-  else Some (t.heap.(0).time, t.heap.(0).tie)
-
-let peek_time t = Option.map fst (peek_key t)
-
 (* Allocation-free variant for the exchange's per-window scans: one
    flat load of the mirrored root time (see [root_time]), no option. *)
 let[@inline] peek_time_raw t = t.root_time
+
+(* The scheduler's pop loop: exact (cancelled roots are pruned first)
+   and allocation-free. [root_tie] and [take_root] are only meaningful
+   right after [live_root_time] answered a real time. *)
+let rec live_root_time t =
+  if t.size = 0 then Vtime.never
+  else if t.heap.(0).dead then begin
+    ignore (pop_root t);
+    live_root_time t
+  end
+  else t.heap.(0).time
+
+let root_tie t = t.heap.(0).tie
+
+let take_root t =
+  let root = pop_root t in
+  (* Mark fired so a later cancel of this handle is a no-op. *)
+  root.dead <- true;
+  t.live <- t.live - 1;
+  root.value
+
+let peek_key t =
+  let time = live_root_time t in
+  if time = Vtime.never then None else Some (time, root_tie t)
+
+let peek_time t = Option.map fst (peek_key t)
+
+let pop t =
+  let time = live_root_time t in
+  if time = Vtime.never then None else Some (time, take_root t)

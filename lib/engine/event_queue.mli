@@ -55,3 +55,18 @@ val peek_key : 'a t -> (Vtime.t * int) option
 val peek_time_raw : 'a t -> Vtime.t
 (** {!peek_time} without the option: [Vtime.never] when empty.
     Allocation-free, for hot per-window scans. *)
+
+(** {2 Allocation-free pop loop} *)
+
+val live_root_time : 'a t -> Vtime.t
+(** The earliest live entry's exact time (cancelled roots are pruned
+    first), [Vtime.never] when empty. *)
+
+val root_tie : 'a t -> int
+(** Tie of the earliest live entry; valid right after
+    {!live_root_time} answered a time. *)
+
+val take_root : 'a t -> 'a
+(** Removes the earliest live entry, marking it fired like {!pop}, and
+    returns its value; valid right after {!live_root_time} answered a
+    time. *)

@@ -1,70 +1,54 @@
-(* Conservative parallel discrete-event exchange.
-   ==============================================
+(* Conservative parallel discrete-event exchange: the simulator's one
+   event loop.
 
-   Drives one coordinator partition (the "global" Sim: chaos schedules,
-   fault samplers, workload pacing owned by the harness) plus one Sim
-   per simulated node, in lookahead-bounded windows:
+   It drives a coordinator Sim (chaos schedules, fault samplers, harness
+   pacing) plus one Sim per simulated node in lookahead-bounded windows:
 
-     nt = min next-event time over global, nodes, and barrier hooks
+     nt = min next-event time over coordinator, nodes and barrier hooks
      h0 = max(horizon, nt)                  (idle-jump: skip dead air)
      h1 = min(limit, h0 + lookahead, next coordinator event after h0)
 
-   Per window: coordinator events <= h0 drain first (single-threaded),
-   then every node partition with work <= h1 advances independently —
-   this is the parallel section — then the barrier hooks run
-   (frame-outbox flush, telemetry drain) and the horizon becomes h1.
+   Per window the coordinator events <= h0 run first, single-threaded,
+   with every node clock parked at h0; then every node partition with
+   work <= h1 advances independently (the parallel section); then the
+   barrier hooks flush cross-partition work (frame outboxes, telemetry)
+   and the horizon becomes h1. Coordinator events bound windows, so
+   their interleaving with node work is a canonical, time-ordered
+   property of the simulation, whatever the window geometry.
 
-   Coordinator events are window boundaries: an event at tg > h0 caps
-   h1 and runs at the start of a later window, after every partition
-   has advanced through tg. That makes the interleaving of coordinator
-   work with node work a canonical (time-ordered) property of the
-   simulation content, independent of how wide any window happened to
-   be — the invariant that lets window batching below collapse windows
-   without changing results.
+   Safety: the lookahead is at most the minimum network latency, and
+   nodes interact only through frames, so a frame sent at s >= h0
+   arrives at >= s + lookahead >= h1: barrier-scheduled deliveries
+   never land in a partition's past.
 
-   Safety: the lookahead is required to be <= the minimum cross-node
-   network latency, and cross-node interaction happens only through
-   frames. A frame sent at s >= h0 arrives at >= s + latency >=
-   h0 + lookahead >= h1, so deliveries scheduled at the barrier always
-   land at or after every partition clock: no partition ever receives
-   work in its past.
+   Batching amortizes the per-window cost without changing results:
 
-   Window batching (on by default under the cluster, [batching] here):
+   - Skip-flush: a barrier where no hook holds work skips the flush
+     calls (flushing nothing is a no-op).
+   - Solo windows: when no hook holds work and exactly one partition
+     has events before the others, it runs inline under a cap that
+     starts at min(limit, h0 + 8 lookaheads, next coordinator event,
+     just before every other partition's next event) and shrinks to
+     s + lookahead
+     the moment it buffers cross-partition work at s (re-checked
+     between events). Flushed sends still satisfy s + lookahead >= the
+     new horizon and replay in the same canonical (time, src, seq)
+     order the one-lookahead loop would use. Widening with two running
+     partitions would not be sound (a receiver could pass a sender's
+     shrunken cap), so only soloists widen — which is where the win
+     is: token rotation keeps one node busy at a time.
 
-   - Skip-flush: a barrier where no hook reports pending work (empty
-     outboxes, empty telemetry buffers) skips the flush calls entirely.
-     Flushing nothing is a no-op, so this is observationally identical
-     and only removes per-window overhead.
+   Determinism: one partition per node whatever [domains] is,
+   partitions share no state and draw no randomness, and hooks replay
+   cross-partition work in canonical order — so results are
+   bitwise-identical for every domain count >= 1 and equal to those of
+   the unbatched one-lookahead loop the test suite keeps as its
+   reference (test/oracle.ml). DESIGN.md §11 and §13 give the full
+   argument. *)
 
-   - Adaptive solo windows: when no hook holds work and exactly one
-     partition has events within [max_horizon_factor] lookaheads, that
-     partition runs inline on the coordinator thread under a cap that
-     starts at
-
-       cap0 = min(limit, h0 + k*lookahead, next coordinator event,
-                  next event of every other partition)
-
-     and shrinks to s + lookahead the moment the running partition
-     buffers cross-partition work at time s (re-checked between
-     events). All flushed sends therefore satisfy s + lookahead >=
-     cap = the new horizon, so barrier deliveries still land in no
-     partition's past, and the flush replays them in the same globally
-     monotone canonical (time, src, seq) order the one-lookahead loop
-     would have used across its many barriers — same network RNG draw
-     order, same arrival times, bitwise-identical results. Widening
-     with two or more concurrently running partitions would NOT be
-     sound (a receiver could pop an event beyond a sender's shrunken
-     cap before observing it), which is why the fast path is solo-only;
-     it is also where the win lives, since token rotation keeps mostly
-     one node busy at a time.
-
-   Determinism: partitioning is structural (always one partition per
-   node), [domains] only sets how many OS domains execute them, and a
-   partition is a pure function of its fed events (no RNG, no shared
-   state — see Partition). Barrier hooks canonicalize cross-partition
-   order themselves (the fabric merges sends by (time, src node, seq)).
-   Hence results are bitwise-identical for any domain count >= 1 and
-   invariant under window boundaries — including the batched ones. *)
+(* Widest solo window, in lookaheads: only caps how far a soloist runs
+   before the coordinator looks again. *)
+let horizon_factor = 8
 
 (* [next] reports the earliest timestamp of work the hook has buffered,
    or [Vtime.never] when it holds none — a sentinel rather than an
@@ -108,7 +92,8 @@ let padded_atomic v =
 let spin_budget = 2000
 
 type pool = {
-  mutable pwork : Sim.t array;
+  mutable pparts : Sim.t array;
+  mutable pwork : int array; (* indices into [pparts] *)
   mutable pcount : int;
   mutable plimit : Vtime.t;
   mutable errors : (int * exn * Printexc.raw_backtrace) list; (* under m *)
@@ -129,35 +114,32 @@ type t = {
   parts : Sim.t array;
   lookahead : Vtime.t;
   domains : int;
-  batching : bool;
-  max_horizon_factor : int;
   mutable horizon : Vtime.t;
+  mutable cap : Vtime.t; (* the running solo window's bound... *)
+  mutable capped : bool; (* ...and whether it has shrunk *)
   mutable hooks : hook list; (* registration order *)
-  work : Sim.t array; (* scratch: partitions active this window *)
+  work : int array; (* scratch: indices of the partitions active this window *)
   ptimes : Vtime.t array; (* scratch: per-partition next-event times *)
   stats : stats;
   mutable pool : pool option; (* lazily spawned; joined by [shutdown] *)
 }
 
-let create ?(domains = 1) ?(batching = false) ?(max_horizon_factor = 8)
-    ~lookahead ~global ~parts () =
+let create ?(domains = 1) ~lookahead ~global ~parts () =
   if lookahead <= 0 then
     invalid_arg "Exchange.create: lookahead must be positive";
   if domains < 1 then invalid_arg "Exchange.create: domains must be >= 1";
-  if max_horizon_factor < 1 then
-    invalid_arg "Exchange.create: max_horizon_factor must be >= 1";
   {
     global;
     parts;
     lookahead;
     domains;
-    batching;
-    max_horizon_factor;
     horizon = Vtime.zero;
+    cap = Vtime.zero;
+    capped = false;
     hooks = [];
-    (* [global] is a placeholder; slots [0 .. count-1] are overwritten
-       before every window and never read past [count]. *)
-    work = Array.make (Array.length parts) global;
+    (* slots [0 .. count-1] are overwritten before every window and
+       never read past [count] *)
+    work = Array.make (Array.length parts) 0;
     ptimes = Array.make (Array.length parts) Vtime.never;
     stats =
       {
@@ -171,9 +153,9 @@ let create ?(domains = 1) ?(batching = false) ?(max_horizon_factor = 8)
 
 let horizon t = t.horizon
 let lookahead t = t.lookahead
-let domains t = t.domains
-let batching t = t.batching
-let max_horizon_factor t = t.max_horizon_factor
+let global t = t.global
+let parts t = t.parts
+let hooks t = t.hooks
 
 let stats t =
   (* snapshot: callers must not see later mutation *)
@@ -197,7 +179,7 @@ let pool_drain pool =
   let rec loop () =
     let i = Atomic.fetch_and_add pool.next 1 in
     if i < pool.pcount then begin
-      (try Sim.run_until pool.pwork.(i) pool.plimit
+      (try Sim.run_until pool.pparts.(pool.pwork.(i)) pool.plimit
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          Mutex.lock pool.m;
@@ -250,6 +232,7 @@ let rec pool_worker pool my_epoch =
 let pool_start ~workers =
   let pool =
     {
+      pparts = [||];
       pwork = [||];
       pcount = 0;
       plimit = Vtime.zero;
@@ -297,7 +280,8 @@ let live_workers t =
    coordinator stealing work alongside the workers. Re-raises the
    lowest-indexed worker exception (a deterministic choice, since which
    partitions fail is deterministic). *)
-let pool_run_window pool work count limit =
+let pool_run_window pool parts work count limit =
+  pool.pparts <- parts;
   pool.pwork <- work;
   pool.pcount <- count;
   pool.plimit <- limit;
@@ -341,15 +325,12 @@ let pool_run_window pool work count limit =
 
 (* --- the window loop ------------------------------------------------
 
-   Everything below the per-window line runs a few hundred thousand
-   times per simulated second, so the scans are written against the
-   allocation-free sentinel peeks ([Sim.next_time_raw], hook [next]
-   returning [Vtime.never]): plain int min/max folds, no options, no
-   tuples, no per-window closures outside the solo path. *)
+   This runs a few hundred thousand times per simulated second, so it
+   reads only the allocation-free sentinel peeks ([Sim.next_time_raw],
+   hook [next] returning [Vtime.never]) and builds no closures. A stale
+   peek only ever quotes an earlier (cancelled) time, which costs at
+   most one empty window. *)
 
-(* These run up to three times per window (and once per event inside an
-   adaptive solo window), so both are hand-rolled loops: no fold
-   closures, just the unavoidable indirect call into each hook. *)
 let rec hooks_next_from hooks acc =
   match hooks with
   | [] -> acc
@@ -357,20 +338,14 @@ let rec hooks_next_from hooks acc =
 
 let hooks_next t = hooks_next_from t.hooks Vtime.never
 
-(* Existence-only variant for the barrier's skip decision: short-
-   circuits on the first hook with pending work (registration order
-   puts the frame outbox — the usual holder — first). *)
+(* The barrier's skip test: stops at the first hook holding work
+   (registration order puts the frame outbox, the usual holder,
+   first). *)
 let rec hooks_all_empty hooks =
   match hooks with
   | [] -> true
   | (h : hook) :: rest -> h.next () = Vtime.never && hooks_all_empty rest
 
-(* Barrier at [h1]: flush cross-partition traffic (canonical merge
-   order lives in the hooks), then drain telemetry. Hooks may rewind
-   the coordinator clock to replay items at their own timestamps;
-   normalize afterwards. With batching on, a barrier where no hook
-   holds work skips the flush calls — flushing nothing is a no-op, so
-   skipping is observationally identical and only removes overhead. *)
 let rec flush_hooks hooks h1 =
   match hooks with
   | [] -> ()
@@ -378,167 +353,157 @@ let rec flush_hooks hooks h1 =
     h.flush h1;
     flush_hooks rest h1
 
-(* A barrier — skipped or not — leaves every hook empty: the flush
-   branch drains them all, and the skip branch is taken only when they
-   already were. The window loop relies on this to elide the hook scan
-   in its steady state. *)
+(* Barrier at [h1]. Every barrier leaves every hook empty: it flushes
+   them all unless all were already empty — the invariant [run_until]
+   relies on to skip the hook scan at a window's start. Hooks may rewind the
+   coordinator clock to replay items at their own timestamps, so it is
+   normalized afterwards. *)
 let barrier t h0 h1 =
   let st = t.stats in
   st.windows_run <- st.windows_run + 1;
   let width = Vtime.sub h1 h0 in
   if Vtime.(width > st.max_window) then st.max_window <- width;
-  if t.batching && hooks_all_empty t.hooks then
+  if hooks_all_empty t.hooks then
     st.windows_batched <- st.windows_batched + 1
   else flush_hooks t.hooks h1;
-  (* Hooks may have rewound the coordinator clock to replay items at
-     their own timestamps; normalize (and cover the skip path). *)
   Sim.unsafe_set_clock t.global h1;
   t.horizon <- h1
 
-(* The adaptive solo window's initial cap: with exactly one partition
-   active at [h1] (the caller just counted), how far may it run alone?
-   Up to the earliest event of any *other* partition, bounded by
-   [wide_cap]. With a single active partition every other partition's
-   next event is > h1, so the cap is always > h1: no separate
-   eligibility scan is needed — "work-set count = 1" is exactly the
-   old best/second-best test. Reads the window's cached [ptimes]. *)
-let solo_cap t solo wide_cap =
-  let ptimes = t.ptimes in
-  let cap = ref wide_cap in
-  for i = 0 to Array.length ptimes - 1 do
-    let tm = Array.unsafe_get ptimes i in
-    if i <> solo && Vtime.(tm < !cap) then cap := tm
-  done;
-  !cap
+(* Park every partition clock that lags [time] at [time]. Sound at a
+   coordinator turn and at the end of [run_until], where no partition
+   holds an earlier event: node-side work done from outside a partition
+   (a chaos op, harness code between calls) then stamps telemetry and
+   arms timers at the true time, not at the node's last event. *)
+let sync_clocks parts time =
+  for i = 0 to Array.length parts - 1 do
+    let p = Array.unsafe_get parts i in
+    if Vtime.(Sim.now p < time) then Sim.unsafe_set_clock p time
+  done
 
-let run_until t limit =
-  if Vtime.(limit < t.horizon) then ()
+(* The soloist's cap, re-read by [Sim.drain_while] before each event:
+   it shrinks to s + lookahead once cross-partition work buffered at s
+   appears. It shrinks at most once: all such work comes from the
+   soloist, whose clock only moves forward, so later work can only
+   propose a later bound. The cap lives in a field, so a solo window
+   builds no closure. *)
+let solo_poll t =
+  if not t.capped then begin
+    let s = hooks_next t in
+    if s <> Vtime.never then begin
+      t.capped <- true;
+      let c = Vtime.add s t.lookahead in
+      if Vtime.(c < t.cap) then t.cap <- c
+    end
+  end;
+  t.cap
+
+(* Fill [ptimes] with every partition's next-event time; their min. *)
+let scan_parts t =
+  let m = ref Vtime.never in
+  for i = 0 to Array.length t.parts - 1 do
+    let s = Sim.next_time_raw (Array.unsafe_get t.parts i) in
+    Array.unsafe_set t.ptimes i s;
+    if Vtime.(s < !m) then m := s
+  done;
+  !m
+
+(* One window starting at [h0]; [gnext] and [hnext] are the
+   coordinator's and the hooks' next work after the coordinator's
+   turn. *)
+let window t h0 ~gnext ~hnext limit =
+  let parts = t.parts and ptimes = t.ptimes in
+  let bound = Vtime.min limit gnext in
+  let h1 = Vtime.min bound (Vtime.add h0 t.lookahead) in
+  (* The work set: partitions with events <= h1. *)
+  let count = ref 0 and solo = ref 0 in
+  for i = 0 to Array.length parts - 1 do
+    if Vtime.(Array.unsafe_get ptimes i <= h1) then begin
+      Array.unsafe_set t.work !count i;
+      solo := i;
+      incr count
+    end
+  done;
+  if !count = 1 && hnext = Vtime.never then begin
+    (* Solo window: one partition, inline, under a shrinking cap that
+       starts at the widest window and stops just short of every other
+       partition's next event. Short of it: events of two partitions at
+       one instant must share a window, or their buffered work would
+       reach the barrier merge out of canonical order. Every other
+       partition's next event is > h1, so the cap never drops below the
+       plain window bound. *)
+    t.cap <- Vtime.min bound (Vtime.add h0 (horizon_factor * t.lookahead));
+    t.capped <- false;
+    for i = 0 to Array.length ptimes - 1 do
+      let tm = Array.unsafe_get ptimes i in
+      if i <> !solo && Vtime.(tm <= t.cap) then t.cap <- tm - 1
+    done;
+    let p = parts.(!solo) in
+    Sim.drain_while p ~cap:solo_poll t;
+    (* One final poll: work buffered by the last event drained has not
+       shrunk the cap yet, and closing the window past its s + lookahead
+       would flush deliveries into the past of partitions an earlier
+       widened window already advanced. *)
+    let h1 = solo_poll t in
+    Sim.run_until p h1;
+    if Vtime.(h1 > Vtime.add h0 t.lookahead) then
+      t.stats.windows_widened <- t.stats.windows_widened + 1;
+    barrier t h0 h1
+  end
   else begin
-    let parts = t.parts in
-    let np = Array.length parts in
-    let ptimes = t.ptimes in
-    let wide_span = t.max_horizon_factor * t.lookahead in
-    (* Hooks can hold work at the top of the loop only before the first
-       window of this call (enqueues from outside any window, e.g. the
-       bootstrap token) — every barrier leaves them empty, and the one
-       in-loop source of new hook work outside a window, a coordinator
-       drain, re-reads them explicitly below. The steady-state window
-       therefore skips the hook scan entirely. *)
-    let fresh = ref true in
-    (* One pass over the partitions fills the scratch [ptimes] and
-       returns their min; the window below reuses the cached times for
-       the solo check and the work-set fill instead of re-peeking. *)
-    let scan_parts () =
-      let m = ref Vtime.never in
-      for i = 0 to np - 1 do
-        let s = Sim.next_time_raw (Array.unsafe_get parts i) in
-        Array.unsafe_set ptimes i s;
-        if Vtime.(s < !m) then m := s
+    if t.domains > 1 && !count > 1 then
+      pool_run_window (get_pool t) parts t.work !count h1
+    else
+      for i = 0 to !count - 1 do
+        Sim.run_until parts.(t.work.(i)) h1
       done;
-      !m
-    in
-    (* The second disjunct closes a batching edge: an adaptive window
-       can land the horizon exactly on [limit] without any window ever
-       *starting* there, which would strand a coordinator event
-       scheduled at precisely [limit] (the unbatched loop reaches it by
-       idle-jumping to h0 = limit). One more zero-width window drains
-       it — and any node work it schedules — identically. *)
+    barrier t h0 h1
+  end
+
+(* The loop keeps going while any event <= limit is pending: an adaptive
+   window can land the horizon exactly on [limit] without any window
+   starting there, and a coordinator event or another partition's event
+   (the one that capped the solo window) at precisely [limit] must still
+   run — one more zero-width window does it. *)
+let run_until t limit =
+  if Vtime.(limit >= t.horizon) then begin
+    (* Hooks can hold work at a window's start only before the first
+       window (work enqueued from outside any window, e.g. the bootstrap
+       token) and after a coordinator turn: every barrier leaves them
+       empty. *)
+    let hnext = ref (hooks_next t) in
     while
-      t.horizon < limit || Vtime.(Sim.next_time_raw t.global <= limit)
+      t.horizon < limit
+      || Vtime.(Sim.next_time_raw t.global <= limit)
+      || Vtime.(scan_parts t <= limit)
     do
-      let gnext = ref (Sim.next_time_raw t.global) in
-      let pmin = scan_parts () in
-      let hnext = ref (if !fresh then hooks_next t else Vtime.never) in
-      fresh := false;
-      let nt = Vtime.min !gnext (Vtime.min pmin !hnext) in
+      let nt =
+        Vtime.min (Sim.next_time_raw t.global) (Vtime.min (scan_parts t) !hnext)
+      in
       if Vtime.(nt > limit) then begin
-        (* Nothing pending inside [limit] anywhere ([Vtime.never] when
-           nothing is pending at all): run the coordinator out. *)
+        (* Nothing pending inside [limit]: run the coordinator out. *)
         Sim.run_until t.global limit;
         t.horizon <- limit
       end
       else begin
         let h0 = Vtime.max t.horizon nt in
-        (* Coordinator turn: every coordinator event <= h0 (chaos ops,
-           samplers, thunk-scheduled work from a previous barrier)
-           runs before any partition passes h0; later coordinator
-           events bound the window instead and run at a future
-           window's start, after all partition work up to their own
-           time — a canonical order no window geometry can change.
-           The clock follows each event, then parks at h0 so sends
-           stamped during the parallel section never see a coordinator
-           clock from later in the window. Coordinator events may
-           schedule partition work or buffer hook work, so the cached
-           scans are refreshed after a drain (the common window drains
-           nothing and keeps the single pass). *)
-        if Vtime.(!gnext <= h0) then begin
+        (* Coordinator turn: its events <= h0 run before any partition
+           passes h0, with every node clock parked at h0; its later
+           events bound the window instead. They may schedule partition
+           work, so the partitions are rescanned after a drain. The
+           clock then parks at h0, so sends stamped during the window
+           never see a coordinator time from later in it. *)
+        if Vtime.(Sim.next_time_raw t.global <= h0) then begin
+          sync_clocks t.parts h0;
           Sim.drain_until t.global h0;
-          gnext := Sim.next_time_raw t.global;
-          ignore (scan_parts ());
+          ignore (scan_parts t);
           hnext := hooks_next t
         end;
         Sim.unsafe_set_clock t.global h0;
-        let bound = Vtime.min limit !gnext in
-        let h1 = Vtime.min bound (Vtime.add h0 t.lookahead) in
-        (* Fill the work set from the cached scan; its size doubles as
-           the solo-eligibility test, so the saturated path pays no
-           separate check. *)
-        let count = ref 0 in
-        let solo_idx = ref 0 in
-        for i = 0 to np - 1 do
-          if Vtime.(Array.unsafe_get ptimes i <= h1) then begin
-            t.work.(!count) <- Array.unsafe_get parts i;
-            solo_idx := i;
-            incr count
-          end
-        done;
-        let wide_cap =
-          (* [Vtime.zero <= h1] doubles as "not solo". *)
-          if t.batching && !count = 1 && !hnext = Vtime.never then
-            Vtime.min bound (Vtime.add h0 wide_span)
-          else Vtime.zero
-        in
-        if Vtime.(wide_cap > h1) then begin
-          (* Inline fast path: one partition, one thread, a cap that
-             shrinks the moment cross-partition work is buffered. The
-             cap can only shrink to s + lookahead >= h0 + lookahead >=
-             h1, so it never drops below the plain window bound. *)
-          let p = Array.unsafe_get parts !solo_idx in
-          let cap = ref (solo_cap t !solo_idx wide_cap) in
-          let cap_fn () =
-            let s = hooks_next t in
-            if s <> Vtime.never then begin
-              let c = Vtime.add s t.lookahead in
-              if Vtime.(c < !cap) then cap := c
-            end;
-            !cap
-          in
-          Sim.drain_while p ~cap:cap_fn;
-          (* One final poll: [drain_while] consults the cap before each
-             event, so work buffered by the *last* event it ran has not
-             shrunk the cap yet. Without this the window would close
-             past [s + lookahead] and the flush below would schedule
-             into partitions an earlier widened window already advanced
-             beyond the delivery time. Events already drained all
-             precede the shrunk cap (they drain in time order, each
-             below the cap current at its poll), so the soloist's clock
-             never exceeds the recomputed bound. *)
-          let h1s = cap_fn () in
-          Sim.run_until p h1s;
-          if Vtime.(h1s > Vtime.add h0 t.lookahead) then
-            t.stats.windows_widened <- t.stats.windows_widened + 1;
-          barrier t h0 h1s
-        end
-        else begin
-          (* Parallel section: every partition with work <= h1. *)
-          (if t.domains > 1 && !count > 1 then
-             pool_run_window (get_pool t) t.work !count h1
-           else
-             for i = 0 to !count - 1 do
-               Sim.run_until t.work.(i) h1
-             done);
-          barrier t h0 h1
-        end
+        window t h0 ~gnext:(Sim.next_time_raw t.global) ~hnext:!hnext limit;
+        hnext := Vtime.never
       end
-    done
+    done;
+    (* Park the idle partitions at [limit] too, so harness code acting
+       between calls sees every node clock read the cluster clock. *)
+    sync_clocks t.parts limit
   end

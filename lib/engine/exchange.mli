@@ -16,21 +16,24 @@
     any partition passes [tg] — a canonical, time-ordered interleaving
     that no window geometry can change.
 
-    Window batching ([batching:true]) amortizes barrier overhead
-    without changing results: barriers where no hook holds work skip
-    the flush calls, and when exactly one partition owns every event
-    within [max_horizon_factor] lookaheads it runs inline under a cap
-    that shrinks the moment it buffers cross-partition work. See
-    DESIGN.md §13 for the safety argument.
+    Window batching amortizes barrier overhead without changing
+    results: barriers where no hook holds work skip the flush calls,
+    and when exactly one partition owns every event within eight
+    lookaheads it runs inline under a cap that shrinks the moment it
+    buffers cross-partition work. See DESIGN.md §13 for the safety
+    argument; the test suite checks this loop against an unbatched
+    one-lookahead reference scheduler.
 
     Determinism: partitioning is structural (one partition per node
     regardless of [domains]), partitions are pure (see {!Partition}),
     and hooks replay cross-partition work in canonical
     (time, source, seq) order — so results are bitwise-identical for
-    every [domains >= 1], with batching on or off, and invariant under
-    window boundaries. *)
+    every [domains >= 1] and invariant under window boundaries. *)
 
 type t
+
+type hook = { next : unit -> Vtime.t; flush : Vtime.t -> unit }
+(** A barrier hook, see {!add_barrier_hook}. *)
 
 type stats = {
   mutable windows_run : int;  (** barriers executed *)
@@ -42,8 +45,6 @@ type stats = {
 
 val create :
   ?domains:int ->
-  ?batching:bool ->
-  ?max_horizon_factor:int ->
   lookahead:Vtime.t ->
   global:Sim.t ->
   parts:Sim.t array ->
@@ -52,11 +53,8 @@ val create :
 (** [create ~domains ~lookahead ~global ~parts ()] builds an exchange
     over the coordinator [global] and per-node [parts]. [domains]
     (default 1) is the number of OS domains used for the parallel
-    section; [1] runs partitions inline with no spawning. [batching]
-    (default false) enables skip-flush barriers and adaptive solo
-    windows up to [max_horizon_factor] (default 8) lookaheads wide.
-    @raise Invalid_argument if [lookahead <= 0], [domains < 1] or
-    [max_horizon_factor < 1]. *)
+    section; [1] runs partitions inline with no spawning.
+    @raise Invalid_argument if [lookahead <= 0] or [domains < 1]. *)
 
 val add_barrier_hook :
   t -> ?next:(unit -> Vtime.t) -> (Vtime.t -> unit) -> unit
@@ -65,13 +63,11 @@ val add_barrier_hook :
     buffered cross-partition work over (scheduling deliveries, draining
     telemetry); [next ()] reports the earliest timestamp of work the
     hook is still holding — [Vtime.never] when it holds none (default:
-    always [Vtime.never]) — so idle-jumps cannot skip over it, and,
-    with batching on, so barriers know whether a flush can be skipped
-    and adaptive windows know when to shrink. [next] is called on the
-    hottest paths (once per window, once per event inside an adaptive
-    solo window) and must be cheap and allocation-free. A hook whose
-    [next] under-reports (returns [Vtime.never] while holding work)
-    breaks both.
+    always [Vtime.never]) — so idle-jumps cannot skip over it, barriers
+    know whether a flush can be skipped and solo windows know when to
+    shrink. [next] runs on the hottest paths (a few times per window,
+    once per event inside a solo window), so it must be cheap and
+    allocation-free, and it must never under-report.
     Hooks may rewind the coordinator clock via [Sim.unsafe_set_clock]
     to replay items at their own timestamps; the exchange
     re-normalizes it. *)
@@ -79,8 +75,8 @@ val add_barrier_hook :
 val run_until : t -> Vtime.t -> unit
 (** Advances the whole system to [limit]: all partitions have processed
     every event [<= limit], all hooks have flushed, and the coordinator
-    clock reads [limit]. Worker-domain exceptions are re-raised (lowest
-    partition index first). *)
+    and every partition clock read [limit]. Worker-domain exceptions
+    are re-raised (lowest partition index first). *)
 
 val shutdown : t -> unit
 (** Joins the worker-domain pool, if one was spawned. Idempotent; the
@@ -96,10 +92,14 @@ val horizon : t -> Vtime.t
 (** The barrier the system has fully reached. *)
 
 val lookahead : t -> Vtime.t
-val domains : t -> int
 
-val batching : t -> bool
-val max_horizon_factor : t -> int
+val global : t -> Sim.t
+val parts : t -> Sim.t array
+
+val hooks : t -> hook list
+(** The registered barrier hooks, in registration order: with {!global}
+    and {!parts}, everything a reference scheduler needs to drive the
+    same system window by window. *)
 
 val stats : t -> stats
 (** Snapshot of the window counters (copies; safe to retain). *)

@@ -57,82 +57,77 @@ let cancel t = function
   | Heap h -> ignore (Event_queue.cancel t.queue h)
   | Wheel h -> ignore (Timer_wheel.cancel t.wheel h)
 
-(* One combined peek: which structure holds the next event, and when.
-   [`Heap] wins ties below the wheel only by tie rank, preserving the
-   global FIFO order at equal times. *)
-let earliest t =
-  match Event_queue.peek_key t.queue, Timer_wheel.peek_key t.wheel with
-  | None, None -> `Empty
-  | Some (ht, _), None -> `Heap ht
-  | None, Some (wt, _) -> `Wheel wt
-  | Some (ht, htie), Some (wt, wtie) ->
-    if Vtime.(ht < wt) || (ht = wt && htie < wtie) then `Heap ht else `Wheel wt
-
 let next_event_time t =
-  match earliest t with
-  | `Empty -> None
-  | `Heap time | `Wheel time -> Some time
+  let time =
+    Vtime.min
+      (Event_queue.live_root_time t.queue)
+      (Timer_wheel.min_live_time t.wheel)
+  in
+  if time = Vtime.never then None else Some time
 
 (* Allocation-free peek for the exchange's per-window horizon scan.
    Only the minimum time matters there, never which structure holds it,
-   so the tie arbitration of [earliest] is skipped entirely. *)
+   and a stale (earlier) bound is harmless, so nothing is pruned. *)
 let[@inline] next_time_raw t =
   Vtime.min
     (Event_queue.peek_time_raw t.queue)
     (Timer_wheel.peek_time_raw t.wheel)
 
-let fire t popped =
-  match popped with
-  | None -> false
-  | Some (time, f) ->
-    t.clock <- time;
-    t.events <- t.events + 1;
-    f ();
-    true
+(* The pop loop. [ht] and [wt] are the exact live heads of the heap and
+   the wheel (both peeks prune cancelled entries); the heap wins a tie
+   with the wheel only by tie rank, preserving the global FIFO order at
+   equal times. Nothing here allocates — it runs once per event. *)
+let fire t ht wt =
+  let f =
+    if
+      Vtime.(ht < wt)
+      || (ht = wt && Event_queue.root_tie t.queue < Timer_wheel.min_tie t.wheel)
+    then begin
+      t.clock <- ht;
+      Event_queue.take_root t.queue
+    end
+    else begin
+      t.clock <- wt;
+      Timer_wheel.take_min t.wheel
+    end
+  in
+  t.events <- t.events + 1;
+  f ()
 
 let step t =
-  match earliest t with
-  | `Empty -> false
-  | `Heap _ -> fire t (Event_queue.pop t.queue)
-  | `Wheel _ -> fire t (Timer_wheel.pop_min t.wheel)
+  let ht = Event_queue.live_root_time t.queue in
+  let wt = Timer_wheel.min_live_time t.wheel in
+  if Vtime.min ht wt = Vtime.never then false
+  else begin
+    fire t ht wt;
+    true
+  end
 
-(* Pop and run every event with timestamp <= limit; the clock follows
-   the events and is NOT bumped to [limit] at the end. The exchange
-   layer drains the coordinator partition this way so the clock always
-   reads the time of the event being executed, never a horizon the
-   window has not reached. *)
-let drain_until t limit =
-  let rec loop () =
-    match earliest t with
-    | `Heap time when Vtime.(time <= limit) ->
-      if fire t (Event_queue.pop t.queue) then loop ()
-    | `Wheel time when Vtime.(time <= limit) ->
-      if fire t (Timer_wheel.pop_min t.wheel) then loop ()
-    | `Empty | `Heap _ | `Wheel _ -> ()
-  in
-  loop ()
-
-let run_until t limit =
-  drain_until t limit;
-  t.clock <- Vtime.max t.clock limit
-
-(* Pop and run events while the earliest timestamp is within [cap ()],
+(* Pop and run events while the earliest timestamp is within [cap arg],
    re-reading the cap between events. The adaptive solo window in the
    exchange layer runs one partition far past the static lookahead
    bound under a cap that shrinks the moment the partition buffers
    cross-partition work (a frame entering an outbox): re-evaluating the
    cap per pop is what lets the shrink take effect before the next
-   event fires. The clock follows the events, as in [drain_until]. *)
-let drain_while t ~cap =
-  let rec loop () =
-    match earliest t with
-    | `Heap time when Vtime.(time <= cap ()) ->
-      if fire t (Event_queue.pop t.queue) then loop ()
-    | `Wheel time when Vtime.(time <= cap ()) ->
-      if fire t (Timer_wheel.pop_min t.wheel) then loop ()
-    | `Empty | `Heap _ | `Wheel _ -> ()
-  in
-  loop ()
+   event fires. The clock follows the events and is NOT bumped to the
+   cap at the end. *)
+let rec drain_while t ~cap arg =
+  let ht = Event_queue.live_root_time t.queue in
+  let wt = Timer_wheel.min_live_time t.wheel in
+  let time = Vtime.min ht wt in
+  if time <> Vtime.never && Vtime.(time <= cap arg) then begin
+    fire t ht wt;
+    drain_while t ~cap arg
+  end
+
+(* The exchange drains the coordinator partition this way, so its clock
+   reads the time of the event being executed, never a horizon the
+   window has not reached. *)
+let drain_until t limit = drain_while t ~cap:Fun.id limit
+
+let run_until t limit =
+  drain_until t limit;
+  t.clock <- Vtime.max t.clock limit
 
 let run t = while step t do () done
 

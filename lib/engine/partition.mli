@@ -47,12 +47,11 @@ val drain_until : t -> Vtime.t -> unit
     the coordinator partition this way so [now] never runs ahead of the
     work actually done. *)
 
-val drain_while : t -> cap:(unit -> Vtime.t) -> unit
-(** Pop and run events while the earliest timestamp is [<= cap ()],
-    re-reading [cap] between events so a handler that shrinks it (by
-    buffering cross-partition work) bounds the very next pop. Clock
-    semantics as {!drain_until}. Exchange-only: backs the adaptive solo
-    window. *)
+val drain_while : t -> cap:('a -> Vtime.t) -> 'a -> unit
+(** [drain_while t ~cap arg] pops and runs events while the earliest
+    timestamp is [<= cap arg], re-reading the cap between events so a
+    handler that shrinks it bounds the very next pop. Clock semantics
+    as {!drain_until}. Backs the exchange's solo window. *)
 
 val run : t -> unit
 (** Processes events until the queue is empty. *)
@@ -61,14 +60,13 @@ val step : t -> bool
 (** Processes exactly one event; [false] if the queue was empty. *)
 
 val next_event_time : t -> Vtime.t option
-(** Timestamp of the earliest pending event, if any. The conservative
-    window computation ([Exchange.run_until]) takes the minimum of this
-    across all partitions. *)
+(** Timestamp of the earliest pending event, if any. *)
 
 val next_time_raw : t -> Vtime.t
-(** {!next_event_time} without the option: [Vtime.never] when empty.
-    Allocation-free; the exchange folds this across every partition
-    once per window. *)
+(** A lower bound on {!next_event_time} without the option,
+    [Vtime.never] when empty: two field loads, possibly quoting a
+    cancelled event's earlier time. The exchange folds this across
+    every partition once per window. *)
 
 val pending : t -> int
 (** Number of scheduled, not-yet-fired events (timers included). *)

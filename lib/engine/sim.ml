@@ -14,7 +14,6 @@ let create ?(seed = 42) () =
   { part = Partition.create (); root_rng = Rng.create ~seed }
 
 let now t = Partition.now t.part
-let rng t = t.root_rng
 let split_rng t = Rng.split t.root_rng
 let events_processed t = Partition.events_processed t.part
 let schedule t ~delay f = Partition.schedule t.part ~delay f
@@ -28,5 +27,5 @@ let pending t = Partition.pending t.part
 let next_event_time t = Partition.next_event_time t.part
 let[@inline] next_time_raw t = Partition.next_time_raw t.part
 let drain_until t limit = Partition.drain_until t.part limit
-let drain_while t ~cap = Partition.drain_while t.part ~cap
+let drain_while t ~cap arg = Partition.drain_while t.part ~cap arg
 let[@inline] unsafe_set_clock t time = Partition.unsafe_set_clock t.part time

@@ -26,9 +26,6 @@ val create : ?seed:int -> unit -> t
 val now : t -> Vtime.t
 (** Current virtual time. *)
 
-val rng : t -> Rng.t
-(** The simulator's root generator. Prefer {!split_rng} for components. *)
-
 val split_rng : t -> Rng.t
 (** An independent generator stream derived from the root. *)
 
@@ -80,19 +77,16 @@ val next_event_time : t -> Vtime.t option
 (** Timestamp of the earliest pending event, if any. *)
 
 val next_time_raw : t -> Vtime.t
-(** {!next_event_time} without the option: [Vtime.never] when empty.
-    Allocation-free; the exchange folds this across every partition
-    once per window. *)
+(** A lower bound on {!next_event_time} without the option; see
+    {!Partition.next_time_raw}. *)
 
 val drain_until : t -> Vtime.t -> unit
 (** Processes every event with timestamp [<= limit] but leaves the
     clock at the last processed event instead of bumping it to
     [limit]. *)
 
-val drain_while : t -> cap:(unit -> Vtime.t) -> unit
-(** Processes events while the earliest timestamp is [<= cap ()],
-    re-reading the cap between events; see {!Partition.drain_while}.
-    Backs the exchange's adaptive solo window. *)
+val drain_while : t -> cap:('a -> Vtime.t) -> 'a -> unit
+(** See {!Partition.drain_while}. *)
 
 val unsafe_set_clock : t -> Vtime.t -> unit
 (** Forcibly sets the clock, possibly backwards; the exchange uses this

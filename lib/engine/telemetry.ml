@@ -108,8 +108,8 @@ let default_ms_buckets = Array.init 60 (fun i -> 0.01 *. (1.26 ** float_of_int i
    window, the coordinator between its parking points, the drain's own
    timestamp replay), so each hub's stream is naturally time-sorted and
    the barrier merge is a k-way walk with no sort; [bsorted] guards the
-   assumption and falls back to materialize-and-sort if a clock ever
-   regresses across a push. *)
+   assumption, and a hub whose clock ever regressed across a push is
+   stably re-sorted before the merge. *)
 type payload = Ev of event | Thunk of (unit -> unit)
 
 let dummy_payload = Thunk ignore
@@ -134,6 +134,8 @@ type t = {
   mutable bpayloads : payload array;
   mutable blen : int;
   mutable bsorted : bool; (* btimes.(0..blen-1) nondecreasing? *)
+  mutable dcur : int; (* merge cursor and snapshotted length, *)
+  mutable dlen : int; (* only meaningful inside a drain *)
 }
 
 type subscription = int
@@ -160,6 +162,8 @@ let create ?(capacity = 4096) sim =
     bpayloads = [||];
     blen = 0;
     bsorted = true;
+    dcur = 0;
+    dlen = 0;
   }
 
 let create_child parent ~source sim =
@@ -182,6 +186,8 @@ let create_child parent ~source sim =
     bpayloads = [||];
     blen = 0;
     bsorted = true;
+    dcur = 0;
+    dlen = 0;
   }
 
 (* The hub whose registry/sink/subscribers this hub feeds. *)
@@ -247,8 +253,6 @@ let emit t event =
 
 let defer t f = if t.buffering then buffer_push t (Thunk f) else f ()
 
-let has_buffered t = t.blen > 0
-
 (* Earliest buffered timestamp in one non-empty hub: the head slot on
    the sorted fast path, a scan only after a clock regression. *)
 let head_min h =
@@ -294,91 +298,92 @@ let compact h taken =
     if left = 0 then h.bsorted <- true
   end
 
-(* Fallback drain for a hub whose stream was observed out of order:
-   materialize (time, source, seq, payload) tuples and sort, exactly
-   the semantics of the merge below. Never taken on the in-tree push
-   sites, which all run under nondecreasing clocks. *)
-let drain_sorting t ~children ~set_clock =
-  let count = Array.fold_left (fun acc c -> acc + c.blen) t.blen children in
-  let arr = Array.make count (Vtime.zero, 0, 0, dummy_payload) in
-  let i = ref 0 in
-  let take h =
-    let n = h.blen in
-    for j = 0 to n - 1 do
-      arr.(!i) <- (h.btimes.(j), h.source, j, h.bpayloads.(j));
-      incr i
-    done;
-    n
-  in
-  let tn = take t in
-  let cns = Array.map take children in
-  Array.sort
-    (fun (ta, sa, qa, _) (tb, sb, qb, _) ->
-      let c = compare ta tb in
-      if c <> 0 then c
-      else
-        let c = compare sa sb in
-        if c <> 0 then c else compare qa qb)
-    arr;
-  compact t tn;
-  Array.iteri (fun ci c -> compact c cns.(ci)) children;
-  Array.iter (fun (time, _, _, payload) -> replay t set_clock time payload) arr
+(* Restore time order in a hub whose clock regressed across a push
+   (never on the in-tree push sites, which all run under nondecreasing
+   clocks): a stable sort by time, so equal times keep push order — the
+   per-hub seq of the canonical (time, source, seq) merge. *)
+let sort_hub h =
+  let n = h.blen in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Vtime.compare h.btimes.(a) h.btimes.(b)) order;
+  let times = Array.map (fun i -> h.btimes.(i)) order in
+  let payloads = Array.map (fun i -> h.bpayloads.(i)) order in
+  Array.blit times 0 h.btimes 0 n;
+  Array.blit payloads 0 h.bpayloads 0 n;
+  h.bsorted <- true
 
 (* Barrier drain: merge the root's own buffer with every child's in
    canonical (time, source, seq) order — the same total order the frame
    exchange flushes in — then dispatch events and run deferred thunks
    with the coordinator clock set to each entry's own timestamp.
 
-   Each hub's stream is already time-sorted (guarded by [bsorted]) and
-   seq is the slot index, so the canonical order is a k-way merge over
+   Each hub's stream is time-sorted (guarded by [bsorted]) and seq is
+   the slot index, so the canonical order is a k-way merge over
    per-hub cursors: pick the hub whose head has the least
    (time, source), dispatch, advance. Source ranks are distinct across
    hubs, so the comparison never needs seq. Lengths are snapshotted
-   first; entries pushed during dispatch stay for the next barrier. *)
-let drain t ~children ~set_clock =
-  if has_buffered t || Array.exists has_buffered children then begin
-    if t.bsorted && Array.for_all (fun c -> c.bsorted) children then begin
-      let tlen = t.blen in
-      let clens = Array.map (fun c -> c.blen) children in
-      let tcur = ref 0 in
-      let curs = Array.make (Array.length children) 0 in
-      let continue = ref true in
-      while !continue do
-        (* root first at ties: its source rank (-1) is least *)
-        let best = ref t in
-        let found = ref (!tcur < tlen) in
-        let best_time = ref (if !found then t.btimes.(!tcur) else Vtime.zero) in
-        let best_child = ref (-1) in
-        Array.iteri
-          (fun i c ->
-            if curs.(i) < clens.(i) then begin
-              let ct = c.btimes.(curs.(i)) in
-              if
-                (not !found)
-                || Vtime.(ct < !best_time)
-                || (ct = !best_time && c.source < !best.source)
-              then begin
-                found := true;
-                best := c;
-                best_time := ct;
-                best_child := i
-              end
-            end)
-          children;
-        if not !found then continue := false
-        else begin
-          let h = !best in
-          let cur = if !best_child < 0 then !tcur else curs.(!best_child) in
-          if !best_child < 0 then incr tcur
-          else curs.(!best_child) <- cur + 1;
-          replay t set_clock h.btimes.(cur) h.bpayloads.(cur)
-        end
-      done;
-      compact t !tcur;
-      Array.iteri (fun i c -> compact c curs.(i)) children
+   first; entries pushed during dispatch stay for the next barrier.
+   Each hub carries its own cursor, and the pick is a plain loop, so a
+   drain allocates nothing. *)
+let head_time h = if h.dcur < h.dlen then h.btimes.(h.dcur) else Vtime.never
+
+let drain_merge t children set_clock =
+  let start h =
+    h.dcur <- 0;
+    h.dlen <- h.blen
+  in
+  start t;
+  Array.iter start children;
+  let continue = ref true in
+  while !continue do
+    (* The root starts as the pick: its rank (-1) is least at ties. *)
+    let best = ref t and best_time = ref (head_time t) in
+    for i = 0 to Array.length children - 1 do
+      let c = Array.unsafe_get children i in
+      let ct = head_time c in
+      if
+        Vtime.(ct < !best_time)
+        || (ct = !best_time && ct <> Vtime.never && c.source < !best.source)
+      then begin
+        best := c;
+        best_time := ct
+      end
+    done;
+    let h = !best in
+    if !best_time = Vtime.never then continue := false
+    else begin
+      let cur = h.dcur in
+      h.dcur <- cur + 1;
+      replay t set_clock h.btimes.(cur) h.bpayloads.(cur)
     end
-    else drain_sorting t ~children ~set_clock
+  done;
+  compact t t.dcur;
+  Array.iter (fun c -> compact c c.dcur) children
+
+let drain t ~children ~set_clock =
+  (* One pass: sort any out-of-order hub, and count the hubs holding
+     entries, remembering the last. *)
+  if t.blen > 0 && not t.bsorted then sort_hub t;
+  let busy = ref (if t.blen > 0 then 1 else 0) and last = ref t in
+  for i = 0 to Array.length children - 1 do
+    let c = Array.unsafe_get children i in
+    if c.blen > 0 then begin
+      if not c.bsorted then sort_hub c;
+      incr busy;
+      last := c
+    end
+  done;
+  if !busy = 1 then begin
+    (* The common barrier: one hub (the window's soloist) buffered
+       anything. Its buffer already is the canonical order. *)
+    let h = !last in
+    let n = h.blen in
+    for i = 0 to n - 1 do
+      replay t set_clock h.btimes.(i) h.bpayloads.(i)
+    done;
+    compact h n
   end
+  else if !busy > 1 then drain_merge t children set_clock
 
 let custom t ~component message =
   if active t then emit t (Custom { component; message })

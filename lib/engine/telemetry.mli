@@ -198,9 +198,6 @@ val drain :
     per-hub buffers are reused arrays and the merge allocates nothing:
     a barrier with nothing buffered is a few loads. *)
 
-val has_buffered : t -> bool
-(** [true] when this hub holds undrained entries. O(1). *)
-
 val buffered_next : t -> children:t array -> Vtime.t
 (** Earliest buffered timestamp across the hub and [children]
     ([Vtime.never] when all empty) — the exchange's barrier hook uses

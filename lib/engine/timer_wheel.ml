@@ -44,7 +44,6 @@ let create ?(shift = default_shift) ?(buckets = default_buckets) () =
   }
 
 let length t = t.live
-let is_empty t = t.live = 0
 
 let bucket_of t time = (time lsr t.shift) land t.mask
 
@@ -91,9 +90,22 @@ let cancel t (H entry) =
     true
   end
 
+(* The earliest live entry of [bucket], or [best] if none precedes it. *)
+let rec earliest_live bucket best =
+  match bucket with
+  | [] -> best
+  | e :: rest ->
+    let best =
+      match best with
+      | Some b when e.dead || precedes b e -> best
+      | _ when e.dead -> best
+      | _ -> Some e
+    in
+    earliest_live rest best
+
 let min_entry t =
   match t.cached_min with
-  | Some m when not m.dead -> Some m
+  | Some m as cached when not m.dead -> cached
   | _ ->
     if t.live = 0 then begin
       t.min_time <- Vtime.never;
@@ -102,39 +114,39 @@ let min_entry t =
     else begin
       let best = ref None in
       for i = 0 to t.mask do
-        List.iter
-          (fun e ->
-            if not e.dead then
-              match !best with
-              | Some b when precedes b e -> ()
-              | _ -> best := Some e)
-          t.buckets.(i)
+        best := earliest_live t.buckets.(i) !best
       done;
       t.cached_min <- !best;
       t.min_time <- (match !best with None -> Vtime.never | Some e -> e.time);
       !best
     end
 
-let peek_key t =
-  match min_entry t with
-  | None -> None
-  | Some e -> Some (e.time, e.tie)
+(* Allocation-free once the minimum is cached: the scheduler's pop
+   loop runs these once per event. *)
+let min_live_time t =
+  match min_entry t with None -> Vtime.never | Some e -> e.time
 
-let peek_time t = Option.map fst (peek_key t)
+let min_tie t = match t.cached_min with Some e -> e.tie | None -> max_int
 
-(* Allocation-free peek: on the cached-hit path (the overwhelmingly
-   common one between structural changes) this reads a field and
-   returns an int. *)
 (* One flat load: see [min_time]. *)
 let[@inline] peek_time_raw t = t.min_time
 
-let pop_min t =
-  match min_entry t with
-  | None -> None
+let take_min t =
+  match t.cached_min with
   | Some e ->
     let b = bucket_of t e.time in
     t.buckets.(b) <- List.filter (fun x -> x != e) t.buckets.(b);
     e.dead <- true;
     t.live <- t.live - 1;
     t.cached_min <- None;
-    Some (e.time, e.value)
+    e.value
+  | None -> invalid_arg "Timer_wheel.take_min: no live minimum"
+
+let peek_key t =
+  match min_entry t with None -> None | Some e -> Some (e.time, e.tie)
+
+let peek_time t = Option.map fst (peek_key t)
+
+let pop_min t =
+  let time = min_live_time t in
+  if time = Vtime.never then None else Some (time, take_min t)

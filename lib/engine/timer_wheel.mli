@@ -29,8 +29,6 @@ val create : ?shift:int -> ?buckets:int -> unit -> 'a t
 val length : 'a t -> int
 (** Number of armed (live) timers. *)
 
-val is_empty : 'a t -> bool
-
 val push : 'a t -> time:Vtime.t -> tie:int -> 'a -> handle
 (** Arms a timer at absolute [time] with tie-break rank [tie]. *)
 
@@ -43,9 +41,22 @@ val peek_key : 'a t -> (Vtime.t * int) option
 val peek_time : 'a t -> Vtime.t option
 
 val peek_time_raw : 'a t -> Vtime.t
-(** {!peek_time} without the option: [Vtime.never] when empty.
-    Allocation-free on the cached-minimum path, for hot per-window
-    scans. *)
+(** A lower bound on the earliest live time, [Vtime.never] when empty:
+    one field load for the exchange's per-window scans, possibly
+    quoting a popped or cancelled minimum's earlier time. *)
 
 val pop_min : 'a t -> (Vtime.t * 'a) option
 (** Removes and returns the earliest live timer. *)
+
+(** {2 Allocation-free pop loop} *)
+
+val min_live_time : 'a t -> Vtime.t
+(** The earliest live timer's exact time, [Vtime.never] when empty. *)
+
+val min_tie : 'a t -> int
+(** Tie of the earliest live timer; valid right after
+    {!min_live_time} answered a time. *)
+
+val take_min : 'a t -> 'a
+(** Removes the earliest live timer, returning its value; valid right
+    after {!min_live_time} answered a time. *)

@@ -1,7 +1,7 @@
 open Totem_engine
 
-(* Partitioned-mode send buffer: frames a node asked to transmit
-   during a parallel window, held until the barrier. One outbox per
+(* Send buffer: frames a node asked to transmit during a window, held
+   until the barrier. One outbox per
    source node, flattened into parallel growable arrays that are reused
    across flushes — buffering a send allocates nothing — with the slot
    index as the per-source emission seq, so (time, src, index) is the
@@ -62,7 +62,7 @@ let outbox_push ob ~time ~net ~dst frame =
   end;
   ob.times.(i) <- time;
   ob.nets.(i) <- net;
-  ob.dsts.(i) <- (match dst with None -> -1 | Some d -> d);
+  ob.dsts.(i) <- dst;
   ob.frames.(i) <- frame;
   ob.len <- i + 1
 
@@ -106,12 +106,11 @@ type t = {
      runs once per logical frame instead of once per network. *)
   mutable memoize : bool;
   mutable last_out : (Frame.t * Frame.t) option;
-  (* Parallel core: per-node partition simulators (NICs schedule
-     arrivals on their node's partition) and per-node outboxes (sends
-     buffer during windows and flush at barriers in canonical order).
-     None = classic single-simulator mode, the default. *)
-  mutable partitions : Sim.t array option;
-  mutable node_telemetry : Telemetry.t array option;
+  (* Per-node partition simulators (NICs schedule arrivals on their
+     node's partition) and per-node outboxes (sends buffer during
+     windows and flush at barriers in canonical order). *)
+  parts : Sim.t array;
+  node_telemetry : Telemetry.t array option;
   outboxes : outbox array;
   (* Earliest buffered send across all outboxes, [Vtime.never] when all
      are empty: the exchange polls [outbox_next] once per window and
@@ -123,13 +122,18 @@ type t = {
   out_cursors : int array;
 }
 
-let create sim ~num_nodes ~num_nets ?(config = Network.default_config) ?configs
-    ?telemetry () =
+let create sim ~parts ~num_nets ?(config = Network.default_config) ?configs
+    ?telemetry ?node_telemetry () =
+  let num_nodes = Array.length parts in
   if num_nodes <= 0 then invalid_arg "Fabric.create: need at least one node";
   if num_nets <= 0 then invalid_arg "Fabric.create: need at least one network";
   (match configs with
   | Some cs when Array.length cs <> num_nets ->
     invalid_arg "Fabric.create: configs length mismatch"
+  | _ -> ());
+  (match node_telemetry with
+  | Some tls when Array.length tls <> num_nodes ->
+    invalid_arg "Fabric.create: one telemetry hub per node required"
   | _ -> ());
   let config_of i =
     match configs with Some cs -> cs.(i) | None -> config
@@ -150,26 +154,12 @@ let create sim ~num_nodes ~num_nets ?(config = Network.default_config) ?configs
     wire_encoder = None;
     memoize = true;
     last_out = None;
-    partitions = None;
-    node_telemetry = None;
+    parts;
+    node_telemetry;
     outboxes = Array.init num_nodes (fun _ -> outbox_create ());
     out_earliest = Vtime.never;
     out_cursors = Array.make num_nodes 0;
   }
-
-let set_partitions t ?node_telemetry sims =
-  if Array.length sims <> t.num_nodes then
-    invalid_arg "Fabric.set_partitions: one simulator per node required";
-  (match node_telemetry with
-  | Some tls when Array.length tls <> t.num_nodes ->
-    invalid_arg "Fabric.set_partitions: one telemetry hub per node required"
-  | _ -> ());
-  if Array.exists (fun row -> Array.exists Option.is_some row) t.nics then
-    invalid_arg "Fabric.set_partitions: must be called before attach_node";
-  t.partitions <- Some sims;
-  t.node_telemetry <- node_telemetry
-
-let partitioned t = t.partitions <> None
 
 let min_latency t =
   Array.fold_left
@@ -207,12 +197,9 @@ let nic t ~node ~net =
   | None -> invalid_arg (Printf.sprintf "Fabric.nic: node %d not attached" node)
 
 let attach_node t ~node ?cpu ?recv_cost ?buffer_bytes handler =
-  (* In partitioned mode the NIC lives on its node's partition: arrival
-     events land in the node's own queue, and drop telemetry buffers
-     through the node's hub so it merges canonically. *)
-  let nic_sim =
-    match t.partitions with Some sims -> sims.(node) | None -> t.sim
-  in
+  (* The NIC lives on its node's partition: arrival events land in the
+     node's own queue, and drop telemetry buffers through the node's hub
+     so it merges canonically. *)
   let nic_tl =
     match t.node_telemetry with
     | Some tls -> Some tls.(node)
@@ -220,7 +207,7 @@ let attach_node t ~node ?cpu ?recv_cost ?buffer_bytes handler =
   in
   Array.iteri
     (fun net_id network ->
-      let nic = Nic.create nic_sim ~node ~net:net_id ?buffer_bytes () in
+      let nic = Nic.create t.parts.(node) ~node ~net:net_id ?buffer_bytes () in
       (match nic_tl with
       | Some tl -> Nic.set_telemetry nic tl
       | None -> ());
@@ -230,26 +217,20 @@ let attach_node t ~node ?cpu ?recv_cost ?buffer_bytes handler =
       t.nics.(node).(net_id) <- Some nic)
     t.networks
 
-(* Partitioned sends buffer in the sender's outbox. The timestamp is
-   the sender partition's clock — exact for node-originated sends (the
-   partition clock reads the current event's time) — maxed with the
-   coordinator clock so coordinator-originated sends (bootstrap,
-   harness injections) are stamped with the coordinator event's time. *)
-let enqueue t sims ~net ~dst frame =
+(* Sends buffer in the sender's outbox. The timestamp is the sender
+   partition's clock — exact for node-originated sends (the partition
+   clock reads the current event's time) — maxed with the coordinator
+   clock so coordinator-originated sends (bootstrap, harness
+   injections) are stamped with the coordinator event's time. [dst] is
+   -1 for a broadcast. *)
+let enqueue t ~net ~dst frame =
   let src = frame.Frame.src in
-  let time = Vtime.max (Sim.now sims.(src)) (Sim.now t.sim) in
+  let time = Vtime.max (Sim.now t.parts.(src)) (Sim.now t.sim) in
   if Vtime.(time < t.out_earliest) then t.out_earliest <- time;
   outbox_push t.outboxes.(src) ~time ~net ~dst frame
 
-let broadcast t ~net frame =
-  match t.partitions with
-  | None -> Network.broadcast t.networks.(net) (outgoing t frame)
-  | Some sims -> enqueue t sims ~net ~dst:None frame
-
-let unicast t ~net ~dst frame =
-  match t.partitions with
-  | None -> Network.unicast t.networks.(net) ~dst (outgoing t frame)
-  | Some sims -> enqueue t sims ~net ~dst:(Some dst) frame
+let broadcast t ~net frame = enqueue t ~net ~dst:(-1) frame
+let unicast t ~net ~dst frame = enqueue t ~net ~dst frame
 
 (* Earliest buffered send, so the exchange's idle-jump cannot leap over
    work created outside a window (e.g. the bootstrap token at t=0), and
@@ -257,7 +238,7 @@ let unicast t ~net ~dst frame =
 let outbox_next t = t.out_earliest
 
 (* Barrier flush: merge all outboxes in canonical (time, src, seq)
-   order and play each send through the classic medium path — shared
+   order and play each send through the medium — shared
    medium occupancy, loss/corruption/jitter draws from the per-network
    RNG stream, delivery scheduling — with the coordinator clock set to
    the send's own timestamp. Because the order is a pure function of

@@ -9,18 +9,26 @@ type t
 
 val create :
   Totem_engine.Sim.t ->
-  num_nodes:int ->
+  parts:Totem_engine.Sim.t array ->
   num_nets:int ->
   ?config:Network.config ->
   ?configs:Network.config array ->
   ?telemetry:Totem_engine.Telemetry.t ->
+  ?node_telemetry:Totem_engine.Telemetry.t array ->
   unit ->
   t
-(** [configs], when given, sets per-network parameters (length must be
+(** [create sim ~parts ~num_nets ()] connects [Array.length parts]
+    nodes: [sim] is the coordinator simulator the networks run on, and
+    [parts.(node)] is node's partition simulator (NICs created by
+    {!attach_node} schedule arrivals there).
+
+    [configs], when given, sets per-network parameters (length must be
     [num_nets]); otherwise every network uses [config] (default
     {!Network.default_config}). [telemetry], when given, is propagated
-    to every network and NIC so the net layer emits structured events
-    (frame loss/block, buffer drops, fault-state changes). *)
+    to every network so the net layer emits structured events (frame
+    loss/block, fault-state changes); NICs report buffer drops to
+    [node_telemetry.(node)] when given, else to [telemetry].
+    @raise Invalid_argument on an empty fabric or a length mismatch. *)
 
 val num_nodes : t -> int
 
@@ -60,6 +68,8 @@ val set_wire_encoder : t -> ?memoize:bool -> (Frame.t -> Frame.t) -> unit
     per-invocation effects. *)
 
 val broadcast : t -> net:Addr.net_id -> Frame.t -> unit
+(** Buffers the frame in the sender's outbox; it reaches the network at
+    the next {!flush_outboxes}. *)
 
 val unicast : t -> net:Addr.net_id -> dst:Addr.node_id -> Frame.t -> unit
 
@@ -69,22 +79,10 @@ val iter_networks : t -> (Network.t -> unit) -> unit
 
     Under the exchange layer ({!Totem_engine.Exchange}) the fabric is
     the cross-partition delivery path: NICs schedule arrivals on their
-    node's partition, sends buffer in per-node outboxes during parallel
-    windows, and the barrier flush replays them through the classic
-    medium path in canonical (time, source node, seq) order — making
-    medium occupancy and the per-network RNG streams independent of the
-    domain count. *)
-
-val set_partitions :
-  t -> ?node_telemetry:Totem_engine.Telemetry.t array -> Totem_engine.Sim.t array -> unit
-(** [set_partitions t sims] switches the fabric to partitioned mode:
-    [sims.(node)] is node's partition simulator (NICs created by
-    {!attach_node} schedule there), and [node_telemetry.(node)], when
-    given, is the node's buffered hub for NIC drop events. Must be
-    called before any {!attach_node}.
-    @raise Invalid_argument on length mismatch or after attachment. *)
-
-val partitioned : t -> bool
+    node's partition, sends buffer in per-node outboxes during windows,
+    and the barrier flush replays them through the medium in canonical
+    (time, source node, seq) order — making medium occupancy and the
+    per-network RNG streams independent of the domain count. *)
 
 val min_latency : t -> Totem_engine.Vtime.t
 (** Minimum {!Network.min_latency} across all networks: the largest

@@ -261,11 +261,10 @@ let deliver_to t nic frame ~wire_done =
             Vtime.max arrival (Vtime.add (Nic.last_arrival nic) (Vtime.ns 1))
           in
           Nic.note_arrival nic arrival;
-          (* Target the receiver's own simulator: under the parallel core
-             each NIC schedules on its node's partition, and the lookahead
+          (* Target the receiver's own simulator: under a cluster each
+             NIC schedules on its node's partition, and the lookahead
              guarantee (arrival >= send + latency >= next barrier) makes
-             this landing always in that partition's future. Single-domain
-             mode is unchanged — every NIC shares the network's sim. *)
+             this landing always in that partition's future. *)
           let deliver_at time =
             ignore
               (Sim.schedule_at (Nic.sim nic) ~time (fun () ->

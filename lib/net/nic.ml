@@ -17,8 +17,8 @@ type t = {
   received : Stats.Counter.t;
   dropped : Stats.Counter.t;
   (* Deliveries that fired at this NIC (before buffer admission). Held
-     per-NIC rather than per-network so partitioned mode counts without
-     cross-domain writes; the network sums its receivers. *)
+     per-NIC rather than per-network so receivers on different domains
+     count without cross-domain writes; the network sums its receivers. *)
   delivered : Stats.Counter.t;
   mutable telemetry : Telemetry.t option;
 }

@@ -22,9 +22,9 @@ val node : t -> Addr.node_id
 val net : t -> Addr.net_id
 
 val sim : t -> Totem_engine.Sim.t
-(** The simulator this NIC schedules on — in partitioned mode the
-    owning node's partition, so the network layer can target delivery
-    events at the receiver's own event queue. *)
+(** The simulator this NIC schedules on — under a cluster the owning
+    node's partition, so the network layer can target delivery events
+    at the receiver's own event queue. *)
 
 val set_telemetry : t -> Totem_engine.Telemetry.t -> unit
 (** Emit [Buffer_drop] events for buffer-full drops. *)

@@ -706,49 +706,66 @@ let decode_cache ?(slots = 64) () =
 
 let decode_cache_stats c = (c.dc_hits, c.dc_misses)
 
-let decode_frame ?cache ?max_node (frame : Totem_net.Frame.t) =
+(* Newest-first identity scan of one cache's ring: [k] slots checked so
+   far, [idx] the next slot. *)
+let rec cache_scan c s k idx =
+  let n = Array.length c.dc_keys in
+  if k >= n then None
+  else if c.dc_keys.(idx) == s then Some c.dc_vals.(idx)
+  else cache_scan c s (k + 1) (if idx = 0 then n - 1 else idx - 1)
+
+let cache_find cache s =
+  match cache with
+  | Some c ->
+    let n = Array.length c.dc_keys in
+    cache_scan c s 0 (if c.dc_next = 0 then n - 1 else c.dc_next - 1)
+  | None -> None
+
+(* Decode and validate a byte image whose CRC already checked out,
+   caching a proven-good result. Only proven-good images are cached: a
+   rejected string is re-verified (and re-rejected) on every copy, so
+   cached and uncached runs emit identical discard telemetry. *)
+let decode_checked ?cache ?max_node s =
+  match decode s ~pos:0 ~len:(String.length s - Totem_net.Crc32.trailer_bytes) with
+  | Error e -> Error (Malformed e)
+  | Ok d -> (
+    match validate ?max_node d with
+    | Error e -> Error (Malformed e)
+    | Ok () ->
+      let payload = payload_of_decoded d in
+      (match cache with
+      | Some c ->
+        c.dc_keys.(c.dc_next) <- s;
+        c.dc_vals.(c.dc_next) <- payload;
+        c.dc_next <- (c.dc_next + 1) mod Array.length c.dc_keys
+      | None -> ());
+      Ok payload)
+
+let decode_frame ?cache ?shared ?max_node (frame : Totem_net.Frame.t) =
   match frame.Totem_net.Frame.payload with
   | Totem_net.Frame.Bytes s -> (
-    let cache_lookup () =
-      match cache with
-      | Some c when String.length s > 0 ->
-        let keys = c.dc_keys in
-        let n = Array.length keys in
-        let rec scan k idx =
-          if k >= n then None
-          else if keys.(idx) == s then Some c.dc_vals.(idx)
-          else scan (k + 1) (if idx = 0 then n - 1 else idx - 1)
-        in
-        scan 0 (if c.dc_next = 0 then n - 1 else c.dc_next - 1)
-      | _ -> None
+    let hit =
+      if String.length s = 0 then None
+      else
+        match cache_find shared s with
+        | Some _ as hit -> hit
+        | None -> cache_find cache s
     in
-    match cache_lookup () with
+    match hit with
     | Some payload ->
       (match cache with Some c -> c.dc_hits <- c.dc_hits + 1 | None -> ());
       Ok { frame with Totem_net.Frame.payload }
-    | None ->
+    | None -> (
       (match cache with Some c -> c.dc_misses <- c.dc_misses + 1 | None -> ());
       if not (Totem_net.Crc32.check s) then Error Crc_mismatch
-      else begin
-        match
-          decode s ~pos:0
-            ~len:(String.length s - Totem_net.Crc32.trailer_bytes)
-        with
-        | Error e -> Error (Malformed e)
-        | Ok d -> (
-          match validate ?max_node d with
-          | Error e -> Error (Malformed e)
-          | Ok () ->
-            let payload = payload_of_decoded d in
-            (* Only proven-good images are cached: a rejected string is
-               re-verified (and re-rejected) on every copy, so cached and
-               uncached runs emit identical discard telemetry. *)
-            (match cache with
-            | Some c ->
-              c.dc_keys.(c.dc_next) <- s;
-              c.dc_vals.(c.dc_next) <- payload;
-              c.dc_next <- (c.dc_next + 1) mod Array.length c.dc_keys
-            | None -> ());
-            Ok { frame with Totem_net.Frame.payload })
-      end)
+      else
+        match decode_checked ?cache ?max_node s with
+        | Ok payload -> Ok { frame with Totem_net.Frame.payload }
+        | Error _ as e -> e))
   | _ -> Ok frame
+
+let prime cache ?max_node (frame : Totem_net.Frame.t) =
+  match frame.Totem_net.Frame.payload with
+  | Totem_net.Frame.Bytes s when String.length s > 0 ->
+    ignore (decode_checked ~cache ?max_node s)
+  | _ -> ()

@@ -163,6 +163,7 @@ val encode_frame : ?cache:encode_cache -> Totem_net.Frame.t -> Totem_net.Frame.t
 
 val decode_frame :
   ?cache:decode_cache ->
+  ?shared:decode_cache ->
   ?max_node:int ->
   Totem_net.Frame.t ->
   (Totem_net.Frame.t, frame_error) result
@@ -175,4 +176,15 @@ val decode_frame :
 
     With [cache], a byte string whose decode already succeeded is
     recognized by physical identity and skips the pipeline
-    (decode-once delivery); rejects are never cached. *)
+    (decode-once delivery); rejects are never cached. [shared] is
+    consulted first and only read, never written or counted: a cache
+    another party fills with {!prime}, so it may be read from several
+    domains as long as it is written only while none of them run. Hits
+    and misses in either count against [cache]. *)
+
+val prime : decode_cache -> ?max_node:int -> Totem_net.Frame.t -> unit
+(** [prime cache frame] caches the decoded image of a frame
+    {!encode_frame} just produced, so receivers find it by identity.
+    The CRC is not re-verified — the image is fresh from the encoder —
+    but decode and {!validate} run as in {!decode_frame}, and a frame
+    they reject is not cached. *)

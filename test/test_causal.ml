@@ -66,7 +66,10 @@ let test_domains_deterministic style () =
     (List.length rec1 >= 4)
 
 let test_reconstruction_sane () =
-  let causal, _ = traced_run ~style:Style.Active ~sim_domains:0 in
+  let causal, _ = traced_run ~style:Style.Active ~sim_domains:1 in
+  let causal4, _ = traced_run ~style:Style.Active ~sim_domains:4 in
+  Alcotest.(check bool) "reconstruction identical d1 vs d4" true
+    (String.equal (Causal.chrome_json causal) (Causal.chrome_json causal4));
   let records = Causal.records causal in
   Alcotest.(check int) "one record per submitted message" 60
     (List.length records);

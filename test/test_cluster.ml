@@ -22,6 +22,19 @@ let test_config_validation () =
     (Invalid_argument "Cluster.create: need at least one node") (fun () ->
       ignore (Cluster.create (Config.make ~num_nodes:0 ())))
 
+(* Every cluster runs the partitioned core, so a worker count below one
+   is a configuration error, reported by Config.validate and refused by
+   Cluster.create. *)
+let test_sim_domains_validation () =
+  Alcotest.(check bool) "default is one worker" true
+    ((Config.make ()).Config.sim_domains = 1);
+  Alcotest.(check bool) "zero workers invalid" true
+    (Config.validate (Config.make ~sim_domains:0 ())
+    = Error "sim_domains must be >= 1");
+  Alcotest.check_raises "create rejects sim_domains 0"
+    (Invalid_argument "Cluster.create: sim_domains must be >= 1") (fun () ->
+      ignore (Cluster.create (Config.make ~sim_domains:0 ())))
+
 let test_paper_testbed () =
   let c = Config.paper_testbed ~num_nodes:6 ~style:Style.Active in
   Alcotest.(check int) "six nodes" 6 c.Config.num_nodes;
@@ -147,6 +160,8 @@ let test_two_node_cluster () =
 let tests =
   [
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "sim_domains must be >= 1" `Quick
+      test_sim_domains_validation;
     Alcotest.test_case "paper testbed shorthand" `Quick test_paper_testbed;
     Alcotest.test_case "throughput measurement" `Quick test_throughput_measurement;
     Alcotest.test_case "latency probe" `Quick test_latency_probe;

@@ -138,127 +138,168 @@ let test_chaos_domains_deterministic style () =
   Alcotest.(check int) "equal events_processed" r1.Runner.events r8.Runner.events;
   Alcotest.(check bool) "work was done" true (r1.Runner.delivered > 0)
 
-(* --- window batching -------------------------------------------------- *)
+(* --- window batching vs the reference scheduler ---------------------- *)
 
 (* Batching is an overhead amortization, not a semantics: over random
-   styles, seeds, wire modes and horizon factors, a sim-domains-1 run
-   with batching on must produce the same full fingerprint as the same
-   campaign with batching off. Campaigns are deliberately small (two
-   bursts, short window) so the property gets breadth, not depth — the
-   Slow chaos tests above cover the deep schedules. *)
+   styles, seeds and wire modes, a cluster driven by the library's
+   batched exchange must compute exactly what the unbatched reference
+   scheduler ([Oracle]) computes on an identically built cluster —
+   same events, same deliveries, same telemetry stream, entry by entry.
+   The scenario mixes node traffic with coordinator events that act on
+   nodes (a loss change, a net failure and its heal), so the
+   coordinator-turn ordering and clock parking are covered too. Runs
+   are deliberately short so the property gets breadth, not depth —
+   the Slow chaos tests above cover the deep schedules. *)
+let cluster_fingerprint ~style ~seed ~wire drive =
+  let module Cluster = Totem_cluster.Cluster in
+  let config =
+    Totem_cluster.Config.make ~num_nodes:4 ~num_nets:2 ~style ~seed
+      ~wire_bytes:wire ()
+  in
+  let c = Cluster.create config in
+  let log = ref [] in
+  ignore
+    (Telemetry.subscribe (Cluster.telemetry c) (fun time ev ->
+         log := (time, Format.asprintf "%a" Telemetry.pp_event ev) :: !log));
+  Cluster.start c;
+  Totem_cluster.Workload.burst c ~node:0 ~size:256 ~count:3 ~at:(Vtime.ms 5);
+  Totem_cluster.Workload.burst c ~node:2 ~size:512 ~count:2 ~at:(Vtime.ms 25);
+  let at ms f = ignore (Sim.schedule_at (Cluster.sim c) ~time:(Vtime.ms ms) f) in
+  at 10 (fun () -> Cluster.set_network_loss c 0 0.05);
+  at 30 (fun () -> Cluster.fail_network c 1);
+  at 60 (fun () -> Cluster.heal_network c 1);
+  List.iter (drive c) [ Vtime.ms 40; Vtime.ms 40; Vtime.ms 300 ];
+  ( Cluster.events_processed c,
+    Array.init 4 (fun n -> (Cluster.delivered_at c n, Cluster.delivered_bytes_at c n)),
+    List.length (Cluster.fault_reports c),
+    List.rev !log )
+
 let qcheck_batching_deterministic =
-  QCheck.Test.make ~name:"exchange: batched run == unbatched run at d1"
+  QCheck.Test.make ~name:"exchange: batched run == unbatched reference run"
     ~count:8
-    QCheck.(
-      quad (int_range 0 2) (int_range 0 10_000) bool (int_range 1 16))
-    (fun (style_idx, seed, wire, factor) ->
+    QCheck.(triple (int_range 0 2) (int_range 0 10_000) bool)
+    (fun (style_idx, seed, wire) ->
       let style =
         match style_idx with
         | 0 -> Totem_rrp.Style.No_replication
         | 1 -> Totem_rrp.Style.Active
         | _ -> Totem_rrp.Style.Passive
       in
-      let campaign =
-        Campaign.make ~num_nodes:4 ~num_nets:2 ~style ~seed
-          ~duration:(Vtime.ms 60) ~quiesce:(Vtime.ms 800)
-          ~traffic:
-            (Campaign.Bursts
-               [ (0, 256, 3, Vtime.ms 5); (2, 512, 2, Vtime.ms 25) ])
-          ~wire []
+      let library = cluster_fingerprint ~style ~seed ~wire Totem_cluster.Cluster.run_until in
+      let oracle =
+        cluster_fingerprint ~style ~seed ~wire (fun c limit ->
+            Oracle.run_until
+              (Oracle.of_exchange (Option.get (Totem_cluster.Cluster.exchange c)))
+              limit)
       in
-      let batched =
-        Runner.run ~sim_domains:1 ~window_batch:true ~max_horizon_factor:factor
-          campaign
-      in
-      let plain = Runner.run ~sim_domains:1 ~window_batch:false campaign in
-      fingerprint batched = fingerprint plain && batched.Runner.delivered > 0)
+      let _, delivered, _, _ = library in
+      library = oracle && Array.exists (fun (n, _) -> n > 0) delivered)
 
-(* The lookahead-bound harness again, with batching on and a random
-   horizon factor: a barrier may only skip its flush when every hook is
-   empty, and an adaptive solo window must shrink its cap the moment
-   the soloist buffers cross-partition work. If either rule broke, a
-   buffered hop would be flushed late (landing in the destination's
-   past, raising) or never — so "no exception, every hop delivered,
-   outbox empty at the end" is exactly "no hook ever observed a skipped
-   or late flush". *)
+(* The lookahead-bound harness again, run by the batched exchange and
+   by the reference scheduler on identical inputs: a barrier may only
+   skip its flush when every hook is empty, and an adaptive solo window
+   must shrink its cap the moment the soloist buffers cross-partition
+   work. If either rule broke, a buffered hop would be flushed late
+   (landing in the destination's past, raising), never, or at a
+   different time — so "no exception, every partition saw the same
+   deliveries at the same instants as under the reference, outbox
+   empty at the end" is exactly "no hook ever observed a skipped or
+   late flush". (Traces are per partition: how partitions interleave
+   on the host is not part of the semantics.) *)
+let hop_trace ~lookahead ~nparts ~sends drive =
+  let global = Sim.create () in
+  let parts = Array.init nparts (fun i -> Sim.create ~seed:(7 + i) ()) in
+  let ex = Exchange.create ~lookahead ~global ~parts () in
+  let outbox = ref [] in
+  let traces = Array.make nparts [] in
+  let rec send ~src ~hops =
+    outbox := (Sim.now parts.(src), (src + 1) mod nparts, hops) :: !outbox
+  and deliver dst hops () =
+    traces.(dst) <- (Sim.now parts.(dst), hops) :: traces.(dst);
+    if hops > 0 then send ~src:dst ~hops:(hops - 1)
+  in
+  Exchange.add_barrier_hook ex
+    ~next:(fun () ->
+      List.fold_left (fun a (t, _, _) -> Vtime.min a t) Vtime.never !outbox)
+    (fun _h1 ->
+      let items = List.rev !outbox in
+      outbox := [];
+      List.iter
+        (fun (t, dst, hops) ->
+          ignore
+            (Sim.schedule_at parts.(dst) ~time:(t + lookahead)
+               (deliver dst hops)))
+        items);
+  List.iter
+    (fun (src, at, hops) ->
+      let src = src mod nparts in
+      ignore (Sim.schedule_at parts.(src) ~time:at (fun () -> send ~src ~hops)))
+    sends;
+  drive ex 10_000;
+  (Array.map List.rev traces, !outbox = [], ex)
+
 let qcheck_batching_never_skips_pending_flush =
   QCheck.Test.make ~name:"exchange: batching never skips a pending flush"
     ~count:60
     QCheck.(
-      quad (int_range 1 500) (int_range 2 4) (int_range 1 16)
+      triple (int_range 1 500) (int_range 2 4)
         (list_of_size (Gen.int_range 0 30)
            (triple (int_range 0 3) (int_range 0 5000) (int_range 0 5))))
-    (fun (lookahead, nparts, factor, sends) ->
+    (fun (lookahead, nparts, sends) ->
       (* Clamp so shrunk inputs stay inside the generator bounds:
          QCheck's int shrinker walks toward 0, below the ranges. *)
       let lookahead = max 1 lookahead in
       let nparts = max 2 nparts in
-      let factor = max 1 factor in
-      let global = Sim.create () in
-      let parts = Array.init nparts (fun i -> Sim.create ~seed:(7 + i) ()) in
-      let ex =
-        Exchange.create ~batching:true ~max_horizon_factor:factor ~lookahead
-          ~global ~parts ()
-      in
-      let outbox = ref [] in
-      let delivered = ref 0 in
       let expected =
         List.fold_left (fun acc (_, _, hops) -> acc + hops + 1) 0 sends
       in
-      let rec send ~src ~hops =
-        outbox := (Sim.now parts.(src), (src + 1) mod nparts, hops) :: !outbox
-      and deliver dst hops () =
-        incr delivered;
-        if hops > 0 then send ~src:dst ~hops:(hops - 1)
+      let trace, drained, ex =
+        hop_trace ~lookahead ~nparts ~sends Exchange.run_until
       in
-      Exchange.add_barrier_hook ex
-        ~next:(fun () ->
-          List.fold_left (fun a (t, _, _) -> Vtime.min a t) Vtime.never !outbox)
-        (fun _h1 ->
-          let items = List.rev !outbox in
-          outbox := [];
-          List.iter
-            (fun (t, dst, hops) ->
-              ignore
-                (Sim.schedule_at parts.(dst) ~time:(t + lookahead)
-                   (deliver dst hops)))
-            items);
-      List.iter
-        (fun (src, at, hops) ->
-          let src = src mod nparts in
-          ignore
-            (Sim.schedule_at parts.(src) ~time:at (fun () -> send ~src ~hops)))
-        sends;
-      Exchange.run_until ex 10_000;
+      let reference, _, _ =
+        hop_trace ~lookahead ~nparts ~sends (fun ex limit ->
+            Oracle.run_until (Oracle.of_exchange ex) limit)
+      in
       let stats = Exchange.stats ex in
-      !delivered = expected
-      && !outbox = []
+      Array.fold_left (fun n l -> n + List.length l) 0 trace = expected
+      && trace = reference
+      && drained
       && Exchange.horizon ex = 10_000
       && stats.Exchange.windows_batched <= stats.Exchange.windows_run)
 
-(* The amortization must engage exactly when enabled: local-only work
-   (no hook ever holds anything) makes every barrier skippable, so the
-   batched counter climbs with batching on and stays zero with it
-   off — and either way the partitions process all their events. *)
+(* The amortization must engage: local-only work (no hook ever holds
+   anything) makes every barrier skippable, so the batched counter
+   climbs and the exchange needs no more windows than the reference
+   scheduler — while both fire every event at the same instant. *)
 let test_windows_batched_counter () =
-  let run batching =
+  let setup () =
     let global = Sim.create () in
     let parts = Array.init 2 (fun i -> Sim.create ~seed:(3 + i) ()) in
-    let ex = Exchange.create ~batching ~lookahead:10 ~global ~parts () in
-    let fired = ref 0 in
+    let ex = Exchange.create ~lookahead:10 ~global ~parts () in
+    let fired = Array.make 2 [] in
     for k = 1 to 50 do
-      ignore (Sim.schedule_at parts.(k mod 2) ~time:(k * 7) (fun () -> incr fired))
+      let p = k mod 2 in
+      ignore
+        (Sim.schedule_at parts.(p) ~time:(k * 7) (fun () ->
+             fired.(p) <- Sim.now parts.(p) :: fired.(p)))
     done;
-    Exchange.run_until ex 1_000;
-    Alcotest.(check int) "all local events fired" 50 !fired;
-    Exchange.stats ex
+    (ex, fired)
   in
-  let on = run true and off = run false in
+  let ex, fired = setup () in
+  Exchange.run_until ex 1_000;
+  let oracle_ex, oracle_fired = setup () in
+  let oracle = Oracle.of_exchange oracle_ex in
+  Oracle.run_until oracle 1_000;
+  Alcotest.(check int) "all local events fired" 50
+    (List.length fired.(0) + List.length fired.(1));
+  Alcotest.(check bool) "at the reference's instants" true (fired = oracle_fired);
+  let st = Exchange.stats ex in
   Alcotest.(check bool)
     "batched counter engaged on idle-heavy run" true
-    (on.Exchange.windows_batched > 0);
-  Alcotest.(check int) "counter stays zero when disabled" 0
-    off.Exchange.windows_batched
+    (st.Exchange.windows_batched > 0);
+  Alcotest.(check bool)
+    "no more windows than the reference scheduler" true
+    (st.Exchange.windows_run <= oracle.Oracle.windows)
 
 (* Cluster teardown must join the exchange's worker pool: after
    [Cluster.shutdown] no worker domain may outlive the simulation. *)
@@ -273,7 +314,7 @@ let test_shutdown_joins_worker_pool () =
   let ex =
     match Totem_cluster.Cluster.exchange cluster with
     | Some ex -> ex
-    | None -> Alcotest.fail "sim_domains 4 must run the parallel core"
+    | None -> Alcotest.fail "every cluster runs an exchange"
   in
   Alcotest.(check bool)
     "worker pool was spawned" true
@@ -311,8 +352,8 @@ let tests =
       qcheck_batching_never_skips_pending_flush;
     ]
   @ [
-      Alcotest.test_case "windows-batched counter engages iff enabled" `Quick
-        test_windows_batched_counter;
+      Alcotest.test_case "windows-batched counter engages on idle-heavy runs"
+        `Quick test_windows_batched_counter;
       Alcotest.test_case "cluster shutdown joins the worker pool" `Quick
         test_shutdown_joins_worker_pool;
       Alcotest.test_case "chaos fingerprint d1=d8 (no replication)" `Slow

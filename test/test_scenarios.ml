@@ -34,7 +34,7 @@ let const = Const.default
 let make_harness style =
   let sim = Sim.create () in
   let num_nets = match style with Style.Active_passive _ -> 3 | _ -> 2 in
-  let fabric = Fabric.create sim ~num_nodes:2 ~num_nets () in
+  let fabric = Fabric.create sim ~parts:[| sim; sim |] ~num_nets () in
   let rrp =
     Rrp.create sim ~fabric ~node:0 ~const ~config:Totem_rrp.Rrp_config.default
       ~style ()
