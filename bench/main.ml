@@ -33,6 +33,7 @@ module Report = Totem_cluster.Report
 module Style = Totem_rrp.Style
 module Vtime = Totem_engine.Vtime
 module Stats = Totem_engine.Stats
+module Telemetry = Totem_engine.Telemetry
 module Const = Totem_srp.Const
 
 (* --- measurement -------------------------------------------------- *)
@@ -945,20 +946,6 @@ type target_run = {
   tr_windows_widened : int;
 }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* NaN (empty histogram) becomes null; an overflow-bucket edge becomes
    the string "inf", matching the telemetry metrics exporter. *)
 let json_num f =
@@ -1073,7 +1060,7 @@ let write_json path runs =
   let emit_target i t =
     let { tr_name; tr_wall_sec; tr_events; _ } = t in
     pf "    {\n";
-    pf "      \"name\": \"%s\",\n" (json_escape tr_name);
+    pf "      \"name\": \"%s\",\n" (Telemetry.json_escape tr_name);
     pf "      \"wall_clock_sec\": %.6f,\n" tr_wall_sec;
     pf "      \"sim_events\": %d,\n" tr_events;
     pf "      \"gc\": {\n";
@@ -1102,7 +1089,7 @@ let write_json path runs =
       List.iteri
         (fun si (style, pts) ->
           pf "        {\n          \"style\": \"%s\",\n          \"points\": [\n"
-            (json_escape style);
+            (Telemetry.json_escape style);
           Array.iteri
             (fun pi ((p : Metrics.throughput), _) ->
               pf
@@ -1132,7 +1119,7 @@ let write_json path runs =
             | Some v -> json_num v
             | None -> "null"
           in
-          pf "        {\n          \"style\": \"%s\",\n" (json_escape style);
+          pf "        {\n          \"style\": \"%s\",\n" (Telemetry.json_escape style);
           pf "          \"count\": %d,\n" (Metrics.latency_count probe);
           pf "          \"mean_ms\": %s,\n" mean;
           pf "          \"p50_ms\": %s,\n" (q 0.5);
@@ -1153,9 +1140,9 @@ let write_json path runs =
             "        {\"phase\": \"%s\", \"msgs_per_sec\": %.2f, \"count\": \
              %d, \"p50_ms\": %s, \"p90_ms\": %s, \"p99_ms\": %s, \"p999_ms\": \
              %s, \"net0\": \"%s\"}%s\n"
-            (json_escape p.sp_name) p.sp_msgs_per_sec p.sp_count
+            (Telemetry.json_escape p.sp_name) p.sp_msgs_per_sec p.sp_count
             (json_num p.sp_p50) (json_num p.sp_p90) (json_num p.sp_p99)
-            (json_num p.sp_p999) (json_escape p.sp_net0)
+            (json_num p.sp_p999) (Telemetry.json_escape p.sp_net0)
             (if i < n - 1 then "," else ""))
         !soak_results;
       pf "      ]"

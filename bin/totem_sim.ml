@@ -298,7 +298,7 @@ let trace style nodes nets seed millis jsonl spans wire sim_domains causal_out
       ~nodes ~nets ~seed ()
   in
   let telemetry = Cluster.telemetry cluster in
-  Totem_engine.Trace.enable (Cluster.trace cluster);
+  Totem_engine.Telemetry.set_tracing telemetry true;
   let causal =
     Option.map (fun _ -> fst (Totem_engine.Causal.attach telemetry)) causal_out
   in
@@ -348,7 +348,9 @@ let trace style nodes nets seed millis jsonl spans wire sim_domains causal_out
     Totem_engine.Telemetry.pp_spans Format.std_formatter
       (Totem_engine.Telemetry.token_spans telemetry)
   else if not stdout_taken then
-    Totem_engine.Trace.dump Format.std_formatter (Cluster.trace cluster);
+    Seq.iter
+      (Format.printf "%a@." Totem_engine.Telemetry.pp_entry)
+      (Totem_engine.Telemetry.events_seq telemetry);
   Cluster.shutdown cluster
 
 let millis_t =
@@ -617,7 +619,8 @@ let chaos seed_range replay_path out_dir duration_ms quiesce_ms no_shrink quiet
         let path = Filename.concat out_dir (Printf.sprintf "seed%d.chaos.json" seed) in
         Runner.write_counterexample ~path
           {
-            Runner.cx_campaign;
+            Runner.cx_schema = Runner.schema;
+            cx_campaign;
             cx_monitor = monitor;
             cx_violation =
               (match final.Runner.violations with v :: _ -> Some v | [] -> None);

@@ -69,8 +69,6 @@ let to_action = function
 
 let pp_op ppf op = Scenario.pp_action ppf (to_action op)
 
-let pp_step ppf s = Format.fprintf ppf "@[%a %a@]" Vtime.pp s.at pp_op s.op
-
 let make ?(num_nodes = 4) ?(num_nets = 2) ?(style = Style.Passive) ?(seed = 42)
     ?(duration = Vtime.sec 2) ?(quiesce = Vtime.sec 5)
     ?(traffic = Saturate 1024) ?(wire = false) ?(reinstate = false) steps =

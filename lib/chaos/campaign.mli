@@ -272,8 +272,6 @@ val to_action : op -> Totem_cluster.Scenario.action
 
 val pp_op : Format.formatter -> op -> unit
 
-val pp_step : Format.formatter -> step -> unit
-
 (** {1 Serialization} *)
 
 val style_to_string : Totem_rrp.Style.t -> string

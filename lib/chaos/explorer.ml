@@ -351,13 +351,6 @@ type stats = {
   distinct_states : int;
 }
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "%d^? = %d interleavings: %d explored, %d pruned as symmetric (%d \
-     distinct states, %d prefix runs)"
-    s.alphabet_size s.total_leaves s.leaves_explored s.leaves_pruned
-    s.distinct_states s.interior_runs
-
 type found = {
   f_path : Campaign.op list;
   f_campaign : Campaign.t;
@@ -457,7 +450,8 @@ let to_counterexample ?prepare ?(shrunk = false) cfg campaign =
       campaign
   in
   {
-    Runner.cx_campaign = campaign;
+    Runner.cx_schema = Runner.schema;
+    cx_campaign = campaign;
     cx_monitor = cfg.monitor;
     cx_violation =
       (match r.Runner.violations with [] -> None | v :: _ -> Some v);

@@ -132,8 +132,6 @@ type stats = {
   distinct_states : int;  (** size of the (depth, fingerprint) set *)
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 type found = {
   f_path : Campaign.op list;  (** the violating interleaving *)
   f_campaign : Campaign.t;  (** its leaf-form campaign *)

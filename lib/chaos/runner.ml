@@ -216,11 +216,14 @@ let shrink ?(monitor = Invariant.default) ?(budget = 160) ?prepare campaign
 
 module J = Chaos_json
 
-let schema = "totem-chaos/v2"
+let schema = "totem-chaos/v3"
+
+let schema_v2 = "totem-chaos/v2"
 
 let schema_v1 = "totem-chaos/v1"
 
 type counterexample = {
+  cx_schema : string;
   cx_campaign : Campaign.t;
   cx_monitor : Invariant.config;
   cx_violation : Invariant.violation option;
@@ -249,7 +252,7 @@ let history_json r =
 let counterexample_to_json cx =
   J.Obj
     [
-      ("schema", J.str schema);
+      ("schema", J.str cx.cx_schema);
       ("shrunk", J.Bool cx.cx_shrunk);
       ("campaign", Campaign.to_json cx.cx_campaign);
       ("monitor", Invariant.config_to_json cx.cx_monitor);
@@ -278,9 +281,12 @@ let read_counterexample ~path =
   | Error m -> Error (Printf.sprintf "%s: %s" path m)
   | Ok v -> (
     try
-      (match J.get_str v "schema" path with
-      | s when s = schema || s = schema_v1 -> ()
-      | s -> raise (J.Parse_error (Printf.sprintf "%s: unexpected schema \"%s\"" path s)));
+      let cx_schema =
+        match J.get_str v "schema" path with
+        | s when s = schema || s = schema_v2 || s = schema_v1 -> s
+        | s ->
+          raise (J.Parse_error (Printf.sprintf "%s: unexpected schema \"%s\"" path s))
+      in
       let campaign =
         match J.field v "campaign" with
         | Some c -> Campaign.of_json c path
@@ -311,6 +317,7 @@ let read_counterexample ~path =
       in
       Ok
         {
+          cx_schema;
           cx_campaign = campaign;
           cx_monitor = monitor;
           cx_violation = violation;
@@ -344,8 +351,18 @@ let replay ?prepare cx =
       && expected.Invariant.detail = got.Invariant.detail
     then
       (* The violation matched; if the file carries a flight-recorder
-         dump (v2), the replay's event history must match too. *)
-      if cx.cx_history = [] || history_json r = cx.cx_history then Reproduced r
+         dump (v2, v3), the replay's event history must match too. A v2
+         fabric shard (node -1) also held the string traces v3 no longer
+         records, so v2 histories are compared per node only. *)
+      let comparable h =
+        if cx.cx_schema = schema_v2 then
+          List.filter (fun (node, _) -> node >= 0) h
+        else h
+      in
+      if
+        cx.cx_history = []
+        || comparable (history_json r) = comparable cx.cx_history
+      then Reproduced r
       else
         Diverged
           (r, "violation reproduced, but the event history diverged")

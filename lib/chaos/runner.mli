@@ -102,10 +102,15 @@ val shrink :
 (** {1 Counterexample files} *)
 
 val schema : string
-(** ["totem-chaos/v2"]. [read_counterexample] also accepts v1 files,
-    which simply carry no history block. *)
+(** ["totem-chaos/v3"]. [read_counterexample] also accepts v1 files,
+    which simply carry no history block, and v2 files, whose fabric
+    history shard also held string traces and is therefore not compared
+    on replay. *)
 
 type counterexample = {
+  cx_schema : string;
+      (** the schema the file was written with; new captures use
+          {!schema} *)
   cx_campaign : Campaign.t;
   cx_monitor : Invariant.config;
   cx_violation : Invariant.violation option;
@@ -135,8 +140,8 @@ val read_counterexample : path:string -> (counterexample, string) Stdlib.result
 type replay_outcome =
   | Reproduced of result
       (** the replay hit the same invariant at the same virtual time
-          with the same detail — and, for v2 files, an identical
-          flight-recorder history *)
+          with the same detail — and, for v2 and v3 files, an identical
+          flight-recorder history (per node only for v2) *)
   | Diverged of result * string
   | Clean_replay of result
 

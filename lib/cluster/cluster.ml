@@ -13,7 +13,7 @@ type t = {
   config : Config.t;
   sim : Sim.t;
   fabric : Totem_net.Fabric.t;
-  trace : Trace.t;
+  telemetry : Telemetry.t;
   mutable nodes : node array;
   mutable deliver_hooks :
     (Totem_net.Addr.node_id -> Srp.Message.t -> unit) list;
@@ -61,7 +61,7 @@ let build_node t id =
   let cpu = Cpu.create nsim ~name:(Printf.sprintf "cpu%d" id) in
   let rrp =
     Rrp.Rrp.create nsim ~fabric:t.fabric ~node:id ~const:config.Config.const
-      ~config:config.Config.rrp ~style:config.Config.style ~trace:ntl ()
+      ~config:config.Config.rrp ~style:config.Config.style ~telemetry:ntl ()
   in
   let callbacks =
     {
@@ -79,7 +79,7 @@ let build_node t id =
   in
   let srp =
     Srp.Srp.create nsim ~cpu ~const:config.Config.const ~me:id
-      ~lower:(Rrp.Rrp.lower rrp) ~trace:ntl callbacks
+      ~lower:(Rrp.Rrp.lower rrp) ~telemetry:ntl callbacks
   in
   Rrp.Rrp.connect rrp
     ~deliver_data:(Srp.Srp.recv_data srp)
@@ -149,10 +149,10 @@ let create config =
   | Error msg -> invalid_arg ("Cluster.create: " ^ msg));
   let num_nodes = config.Config.num_nodes in
   let sim = Sim.create ~seed:config.Config.seed () in
-  (* One telemetry hub per cluster; [Trace.t] is an alias for it, so the
-     legacy trace API and the structured registry share the stream. It
-     buffers its own emissions too, so coordinator-side events merge
-     with the nodes' in canonical order at each barrier. *)
+  (* One telemetry hub per cluster: events from every layer and the
+     metrics registry. It buffers its own emissions too, so
+     coordinator-side events merge with the nodes' in canonical order at
+     each barrier. *)
   let telemetry = Telemetry.create sim in
   Telemetry.set_buffering telemetry true;
   (* Partition assignment is structural: one simulator per node plus the
@@ -191,7 +191,7 @@ let create config =
       config;
       sim;
       fabric;
-      trace = telemetry;
+      telemetry;
       nodes = [||];
       deliver_hooks = [];
       report_hooks = [];
@@ -299,8 +299,7 @@ let run_until t time = Exchange.run_until t.exchange time
 let run_for t d = run_until t (Vtime.add (Sim.now t.sim) d)
 let shutdown t = Exchange.shutdown t.exchange
 let config t = t.config
-let trace t = t.trace
-let telemetry t = t.trace
+let telemetry t = t.telemetry
 let exchange t = Some t.exchange
 let events_processed t = Exchange.events_processed t.exchange
 

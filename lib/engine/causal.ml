@@ -408,45 +408,3 @@ let chrome_json t =
     rejects;
   Buffer.add_string buf "\n  ],\n  \"displayTimeUnit\": \"ms\"\n}\n";
   Buffer.contents buf
-
-(* --- text summary ----------------------------------------------------- *)
-
-let pp_records ppf t =
-  let records, rejects = reconstruct t in
-  Format.fprintf ppf "causal records: %d message(s), %d wire reject(s)@."
-    (List.length records) (List.length rejects);
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "msg N%d#%d (tid=%d, %d bytes%s)@." r.r_origin
-        r.r_app_seq r.r_tid r.r_bytes (if r.r_safe then ", safe" else "");
-      (match r.r_originated with
-      | Some at -> Format.fprintf ppf "  originate  %a@." Vtime.pp at
-      | None -> Format.fprintf ppf "  originate  (before trace start)@.");
-      List.iter
-        (fun at -> Format.fprintf ppf "  defer      %a (flow window)@." Vtime.pp at)
-        r.r_defers;
-      List.iter
-        (fun (at, ring, seq, frag, frags) ->
-          Format.fprintf ppf "  ordered    %a ring=%d seq=%d frag=%d/%d@."
-            Vtime.pp at ring seq frag frags)
-        r.r_ordered;
-      List.iter
-        (fun h ->
-          Format.fprintf ppf "  %s %a net=%d node=N%d@."
-            (match h.hop_dir with `Send -> "pkt send  " | `Recv -> "pkt recv  ")
-            Vtime.pp h.hop_at h.hop_net h.hop_node)
-        r.r_hops;
-      List.iter
-        (fun (at, node) ->
-          Format.fprintf ppf "  rtr serve  %a by N%d@." Vtime.pp at node)
-        r.r_retransmits;
-      List.iter
-        (fun (at, node) ->
-          let lat =
-            match r.r_originated with
-            | Some t0 -> Printf.sprintf " (+%.3fms)" (Vtime.to_float_ms (Vtime.sub at t0))
-            | None -> ""
-          in
-          Format.fprintf ppf "  deliver    %a at N%d%s@." Vtime.pp at node lat)
-        r.r_deliveries)
-    records

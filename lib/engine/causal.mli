@@ -117,6 +117,3 @@ val chrome_json : t -> string
     delivery span per destination node, ["e"] at final delivery — and
     ["i"] instants for unattributable wire rejects. Timestamps are
     microseconds. *)
-
-val pp_records : Format.formatter -> t -> unit
-(** Human-readable per-message lifecycle listing. *)

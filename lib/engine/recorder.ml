@@ -78,13 +78,6 @@ let detach t =
 let capacity t = t.capacity
 let num_nodes t = Array.length t.nodes
 
-let node_history t node =
-  if node < 0 || node >= Array.length t.nodes then
-    invalid_arg "Recorder.node_history";
-  ring_entries t.nodes.(node)
-
-let fabric_history t = ring_entries t.fabric
-
 (* (node, entries) pairs for every non-empty ring, node order, with the
    fabric ring last under key -1 — the shape the chaos counterexample
    serializer embeds. *)

@@ -3,7 +3,10 @@
     A recorder is one {!Telemetry.subscribe} observer that shards every
     event into a fixed-capacity ring for its owning node
     ({!Telemetry.node_of_event}), or into a separate fabric ring for
-    node-less network events. Each event costs O(1) (an array store and
+    node-less network events. Every telemetry event is typed, so the
+    fabric ring holds only fabric events (frame losses, blocks, in-flight
+    corruption, network status changes), never protocol chatter that
+    could evict them. Each event costs O(1) (an array store and
     one entry record); the rings are preallocated, so an idle recorder
     allocates nothing. Like every subscriber it is read-only, keeping
     the simulation bitwise identical (OBSERVABILITY.md invariant 2) —
@@ -12,7 +15,7 @@
     order, so dumps are identical for every domain count.
 
     The chaos runner attaches one per campaign and embeds {!dump_jsonl}
-    in [.chaos.json] counterexamples ([totem-chaos/v2]). *)
+    in [.chaos.json] counterexamples ([totem-chaos/v3]). *)
 
 type t
 
@@ -29,13 +32,6 @@ val record : t -> Vtime.t -> Telemetry.event -> unit
 
 val capacity : t -> int
 val num_nodes : t -> int
-
-val node_history : t -> int -> Telemetry.entry list
-(** Retained events for one node, oldest first.
-    @raise Invalid_argument on an out-of-range node. *)
-
-val fabric_history : t -> Telemetry.entry list
-(** Retained node-less network events, oldest first. *)
 
 val dump : t -> (int * Telemetry.entry list) list
 (** Every non-empty ring as [(node, entries)] in node order, the fabric

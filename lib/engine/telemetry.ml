@@ -2,15 +2,16 @@
    histograms) plus a structured trace-event stream with exporters
    (JSONL, metrics JSON/text, token-rotation span view).
 
-   Two delivery paths for events:
-   - a bounded ring (like the old string Trace), enabled with
-     [set_tracing], read back with [events] — what tests assert on;
+   Typed events are the only trace path. They are delivered three ways:
+   - a bounded ring, enabled with [set_tracing], read back with
+     [events] — what tests and the text dump read;
    - an optional streaming sink (e.g. a JSONL writer), which sees every
-     event regardless of the ring flag — what long runs export through.
+     event regardless of the ring flag — what long runs export through;
+   - subscribers (invariant monitors, flight recorder, causal tracer).
 
-   The hot-path contract: when neither is on, [active] is false and
+   The hot-path contract: when none is on, [active] is false and
    instrumented code skips constructing the event entirely, so disabled
-   telemetry costs one branch per site, exactly like [Trace.emitf]. *)
+   telemetry costs one branch per site. *)
 
 (* --- events --------------------------------------------------------- *)
 
@@ -77,8 +78,6 @@ type event =
   | Frame_corrupt of { net : int; src : int; kind : string }
   | Frame_crc_reject of { node : int; net : int; src : int }
   | Frame_decode_reject of { node : int; net : int; src : int; error : string }
-  (* escape hatch; also carries the legacy string Trace *)
-  | Custom of { component : string; message : string }
 
 type entry = { time : Vtime.t; event : event }
 
@@ -385,13 +384,6 @@ let drain t ~children ~set_clock =
   end
   else if !busy > 1 then drain_merge t children set_clock
 
-let custom t ~component message =
-  if active t then emit t (Custom { component; message })
-
-let customf t ~component fmt =
-  if active t then Format.kasprintf (fun s -> custom t ~component s) fmt
-  else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
 let events_seq t =
   let start = (t.next - t.count + t.capacity) mod t.capacity in
   let rec at i () =
@@ -481,7 +473,6 @@ let type_name = function
   | Frame_corrupt _ -> "frame_corrupt"
   | Frame_crc_reject _ -> "frame_crc_reject"
   | Frame_decode_reject _ -> "frame_decode_reject"
-  | Custom _ -> "custom"
 
 (* Component naming convention (see OBSERVABILITY.md): srp<N> for
    single-ring protocol events at node N, rrp<N> for replication-layer
@@ -507,7 +498,6 @@ let component_of = function
   | Buffer_drop { net; _ } | Frame_corrupt { net; _ }
   | Frame_crc_reject { net; _ } | Frame_decode_reject { net; _ } ->
     Printf.sprintf "net%d" net
-  | Custom { component; _ } -> component
 
 (* Which simulated node an event happened on, if any: the key the
    flight recorder ([Recorder]) shards its per-node rings by. Network
@@ -528,9 +518,7 @@ let node_of_event = function
   | Ring_installed { node; _ } | Buffer_drop { node; _ }
   | Frame_crc_reject { node; _ } | Frame_decode_reject { node; _ } ->
     Some node
-  | Frame_loss _ | Frame_blocked _ | Net_status _ | Frame_corrupt _ | Custom _
-    ->
-    None
+  | Frame_loss _ | Frame_blocked _ | Net_status _ | Frame_corrupt _ -> None
 
 let pp_tok ppf (tk : token_info) =
   Format.fprintf ppf "ring=%d rot=%d hop=%d seq=%d" tk.ring_id tk.rotation
@@ -617,14 +605,14 @@ let message_of ev =
       | Frame_crc_reject { node; src; _ } ->
         Format.fprintf ppf "CRC reject at N%d (src=N%d)" node src
       | Frame_decode_reject { node; src; error; _ } ->
-        Format.fprintf ppf "decode reject at N%d (src=N%d): %s" node src error
-      | Custom { message; _ } -> Format.pp_print_string ppf message)
+        Format.fprintf ppf "decode reject at N%d (src=N%d): %s" node src error)
 
 let pp_event ppf ev =
   Format.fprintf ppf "%-10s %s" (component_of ev) (message_of ev)
 
 let pp_entry ppf e =
-  Format.fprintf ppf "[%a] %a" Vtime.pp e.time pp_event e.event
+  Format.fprintf ppf "[%a] %-12s %s" Vtime.pp e.time (component_of e.event)
+    (message_of e.event)
 
 (* --- JSONL export --------------------------------------------------- *)
 
@@ -714,8 +702,6 @@ let fields_of_event ev =
     [ i "node" node; i "net" net; i "src" src ]
   | Frame_decode_reject { node; net; src; error } ->
     [ i "node" node; i "net" net; i "src" src; s "error" error ]
-  | Custom { component; message } ->
-    [ s "component" component; s "message" message ]
 
 let json_of_event time ev =
   let buf = Buffer.create 128 in

@@ -105,7 +105,6 @@ type event =
   | Frame_decode_reject of { node : int; net : int; src : int; error : string }
       (** the CRC held (a collision) but total decoding or semantic
           validation rejected the frame image *)
-  | Custom of { component : string; message : string }
 
 type entry = { time : Vtime.t; event : event }
 
@@ -151,15 +150,6 @@ val emit : t -> event -> unit
 (** Record [event] at the current simulation time. Callers normally
     guard with [if Telemetry.active t then ...] to avoid allocating the
     event when nobody is listening. *)
-
-val custom : t -> component:string -> string -> unit
-(** [custom t ~component msg] emits a [Custom] event (no-op when not
-    [active]); the compatibility path for legacy string traces. *)
-
-val customf :
-  t -> component:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Printf-style [custom]; the format arguments are not evaluated when
-    telemetry is inactive. *)
 
 (** {1 Partitioned-mode buffering}
 
@@ -269,7 +259,10 @@ val pp_metrics : Format.formatter -> t -> unit
 (** Text dashboard of the registry. *)
 
 val pp_event : Format.formatter -> event -> unit
+
 val pp_entry : Format.formatter -> entry -> unit
+(** [[time] component message], the component padded to 12 columns;
+    the line format of [totem_sim trace]'s text dump. *)
 
 val component_of : event -> string
 (** Component label, e.g. ["srp3"], ["rrp0"], ["net1"]. *)
@@ -277,11 +270,11 @@ val component_of : event -> string
 val node_of_event : event -> int option
 (** The simulated node an event happened on: [None] for network-level
     events not tied to a receiving NIC ([Frame_loss], [Frame_blocked],
-    [Net_status], [Frame_corrupt]) and for [Custom]. The flight
-    recorder ({!Recorder}) shards its per-node rings by this key. *)
+    [Net_status], [Frame_corrupt]). The flight recorder ({!Recorder})
+    shards its per-node rings by this key. *)
 
 val message_of : event -> string
-(** Human-readable rendering, matching the legacy [Trace] style. *)
+(** Human-readable rendering of the event's fields. *)
 
 val type_name : event -> string
 (** Stable snake_case tag used in JSONL output, e.g. ["token_rx"]. *)

@@ -308,5 +308,3 @@ let flush_outboxes t =
     Array.iter outbox_clear boxes
   end;
   t.out_earliest <- Vtime.never
-
-let iter_networks t f = Array.iter f t.networks

@@ -73,8 +73,6 @@ val broadcast : t -> net:Addr.net_id -> Frame.t -> unit
 
 val unicast : t -> net:Addr.net_id -> dst:Addr.node_id -> Frame.t -> unit
 
-val iter_networks : t -> (Network.t -> unit) -> unit
-
 (** {1 Parallel simulator core}
 
     Under the exchange layer ({!Totem_engine.Exchange}) the fabric is

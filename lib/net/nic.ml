@@ -80,4 +80,3 @@ let note_arrival t time = t.last_arrival <- Vtime.max t.last_arrival time
 let frames_delivered t = Stats.Counter.value t.delivered
 let frames_received t = Stats.Counter.value t.received
 let frames_dropped_buffer t = Stats.Counter.value t.dropped
-let buffer_in_use t = t.in_use

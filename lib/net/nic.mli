@@ -61,5 +61,3 @@ val note_arrival : t -> Totem_engine.Vtime.t -> unit
 val frames_received : t -> int
 
 val frames_dropped_buffer : t -> int
-
-val buffer_in_use : t -> int

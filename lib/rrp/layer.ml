@@ -23,7 +23,7 @@ type base = {
   const : Srp.Const.t;
   config : Rrp_config.t;
   callbacks : Callbacks.t;
-  trace : Trace.t option;
+  telemetry : Telemetry.t option;
   faulty : bool array;
   pstates : pstate array;
   mutable net_clean : int -> bool;  (* style hook: net clean this rotation? *)
@@ -33,7 +33,7 @@ type base = {
   mutable reports : Fault_report.t list;
 }
 
-let make_base sim ~fabric ~node ~const ~config ~callbacks ?trace () =
+let make_base sim ~fabric ~node ~const ~config ~callbacks ?telemetry () =
   let n = Totem_net.Fabric.num_nets fabric in
   {
     sim;
@@ -42,7 +42,7 @@ let make_base sim ~fabric ~node ~const ~config ~callbacks ?trace () =
     const;
     config;
     callbacks;
-    trace;
+    telemetry;
     faulty = Array.make n false;
     pstates =
       Array.init n (fun _ ->
@@ -73,18 +73,13 @@ let faulty_snapshot b = Array.copy b.faulty
 let non_faulty_count b =
   Array.fold_left (fun acc f -> if f then acc else acc + 1) 0 b.faulty
 
-let emit b fmt =
-  match b.trace with
-  | Some tr -> Trace.emitf tr ~component:(Printf.sprintf "rrp%d" b.node) fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
-let telemetry b = b.trace
+let telemetry b = b.telemetry
 
 let[@inline] tel_active b =
-  match b.trace with Some tl -> Telemetry.active tl | None -> false
+  match b.telemetry with Some tl -> Telemetry.active tl | None -> false
 
 let tel_emit b ev =
-  match b.trace with Some tl -> Telemetry.emit tl ev | None -> ()
+  match b.telemetry with Some tl -> Telemetry.emit tl ev | None -> ()
 
 let tok_info (tok : Srp.Token.t) =
   {
@@ -131,7 +126,6 @@ let begin_probation b ~net ~epoch =
     if tel_active b then
       tel_emit b
         (Telemetry.Net_probation { node = b.node; net; attempt = ps.attempts });
-    emit b "probation on %a (attempt %d)" Totem_net.Addr.pp_net net ps.attempts;
     b.on_probation_start net
   end
 
@@ -155,7 +149,6 @@ let mark_faulty b ~net ~evidence =
       tel_emit b
         (Telemetry.Net_fault_marked
            { node = b.node; net; evidence = evidence_string evidence });
-    emit b "fault report: %a" Fault_report.pp report;
     if b.config.Rrp_config.reinstate then begin
       if tel_active b then
         tel_emit b
@@ -182,8 +175,7 @@ let clear_fault b ~net =
     ps.flaps <- 0;
     ps.attempts <- 0;
     ps.clean <- 0;
-    ps.epoch <- ps.epoch + 1;
-    emit b "fault cleared on %a" Totem_net.Addr.pp_net net
+    ps.epoch <- ps.epoch + 1
   end
 
 (* Called by the style once per token delivered to the SRP — the token
@@ -202,9 +194,7 @@ let note_rotation b =
               if tel_active b then
                 tel_emit b
                   (Telemetry.Net_reinstated
-                     { node = b.node; net; rotations = ps.clean });
-              emit b "%a reinstated after %d clean rotations"
-                Totem_net.Addr.pp_net net ps.clean
+                     { node = b.node; net; rotations = ps.clean })
             end
           end
           else ps.clean <- 0)

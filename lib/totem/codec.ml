@@ -517,14 +517,6 @@ let pp_frame_error ppf = function
   | Crc_mismatch -> Format.pp_print_string ppf "CRC-32 mismatch"
   | Malformed e -> pp_error ppf e
 
-let encode_payload = function
-  | Wire.Data p -> Some (encode_packet p)
-  | Wire.Tok t -> Some (encode_token t)
-  | Wire.Join j -> Some (encode_join j)
-  | Wire.Probe p -> Some (encode_probe p)
-  | Wire.Commit cm -> Some (encode_commit cm)
-  | _ -> None
-
 let payload_of_decoded = function
   | Packet p -> Wire.Data p
   | Token t -> Wire.Tok t

@@ -95,13 +95,6 @@ type frame_error =
 
 val pp_frame_error : Format.formatter -> frame_error -> unit
 
-val encode_payload : Totem_net.Frame.payload -> string option
-(** The encoded byte form of any protocol payload ([Data], [Tok],
-    [Join], [Probe], [Commit]), without the CRC trailer; [None] for
-    payload kinds the codec does not own. *)
-
-val payload_of_decoded : decoded -> Totem_net.Frame.payload
-
 (** {2 Encode-once / decode-once caches}
 
     Active replication serializes one logical frame once per network

@@ -55,7 +55,7 @@ type t = {
   const : Const.t;
   me : Totem_net.Addr.node_id;
   lower : Lower.t;
-  trace : Trace.t option;
+  telemetry : Telemetry.t option;
   callbacks : callbacks;
   stats : stats;
   store : Recv_buffer.t;
@@ -98,18 +98,13 @@ type t = {
   mutable consensus_timer : Timer.t option;
 }
 
-let trace t fmt =
-  match t.trace with
-  | Some tr -> Trace.emitf tr ~component:(Printf.sprintf "srp%d" t.me) fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
 (* Structured telemetry. [tel_active] is the hot-path guard: call sites
    only build an event value when someone is listening. *)
 let[@inline] tel_active t =
-  match t.trace with Some tl -> Telemetry.active tl | None -> false
+  match t.telemetry with Some tl -> Telemetry.active tl | None -> false
 
 let tel_emit t ev =
-  match t.trace with Some tl -> Telemetry.emit tl ev | None -> ()
+  match t.telemetry with Some tl -> Telemetry.emit tl ev | None -> ()
 
 let tok_info (tok : Token.t) =
   {
@@ -128,7 +123,6 @@ let members t = t.ring
 let is_operational t = t.state = Operational
 let stats t = t.stats
 let rotation_histogram t = t.rotation_hist
-let allowance_histogram t = t.allowance_hist
 let is_crashed t = t.crashed
 let send_queue_length t = Queue.length t.send_queue
 
@@ -225,7 +219,6 @@ let token_retransmit_expired t () =
       if tel_active t then
         tel_emit t
           (Telemetry.Token_retransmit { node = t.me; tok = tok_info tok });
-      trace t "retransmit token %a" Token.pp tok;
       t.lower.send_token ~dst:(Membership.next_on_ring t.ring ~me:t.me) tok;
       Timer.start_if_stopped (get_timer t.token_retransmit_timer)
         t.const.token_retransmit_interval
@@ -254,14 +247,10 @@ let send_join t =
       max_ring_id = t.max_ring_id_seen;
     }
   in
-  trace t "send join (proc=[%s] max_ring=%d)"
-    (String.concat ";" (List.map string_of_int join.proc_set))
-    join.max_ring_id;
   t.lower.send_join join
 
 let rec enter_gather t ~reason =
   if not t.crashed then begin
-    trace t "enter gather: %s" reason;
     if tel_active t then
       tel_emit t
         (Telemetry.Memb_transition
@@ -294,8 +283,6 @@ and consensus_expired t () =
     | Recover ->
       (* The recovery exchange stalled (unrecoverable loss); progress
          wins — install with what we have. *)
-      trace t "recovery deadline: installing with aru=%d target=%d"
-        (Recv_buffer.my_aru t.store) t.recover_target;
       finish_recovery t
     | Gather ->
       let cands = Membership.candidates ~me:t.me ~joins:t.joins in
@@ -308,8 +295,6 @@ and consensus_expired t () =
            one int keeps ids ordered by epoch). *)
         let epoch = Membership.max_ring_id t.joins t.max_ring_id_seen / 64 in
         let ring_id = ((epoch + 1) * 64) + (t.me mod 64) in
-        trace t "representative: forming ring %d [%s]" ring_id
-          (String.concat ";" (List.map string_of_int cands));
         if Array.length ring = 1 then begin
           (* Alone: nothing to commit or recover. *)
           install_new_ring t ~ring_id ~members:ring;
@@ -321,7 +306,6 @@ and consensus_expired t () =
         (* Wait for the representative's commit token; if it never
            comes, start over — the representative may itself have
            failed. *)
-        trace t "consensus: waiting for commit from N%d" rep;
         Timer.start (get_timer t.consensus_timer) t.const.consensus_timeout;
         t.joins <- [];
         send_join t
@@ -338,7 +322,6 @@ and my_member_info t =
 
 and send_commit_next t (cm : Wire.commit) =
   let dst = Membership.next_on_ring cm.cm_ring ~me:t.me in
-  trace t "commit round %d for ring %d -> N%d" cm.cm_round cm.cm_ring_id dst;
   t.lower.send_commit ~dst cm
 
 and begin_commit_phase t ~ring ~ring_id =
@@ -403,8 +386,6 @@ and begin_recover t (cm : Wire.commit) =
     List.fold_left (fun acc (i : Wire.member_info) -> min acc i.mi_node) max_int
       holders
   in
-  trace t "recover: ring %d, target=%d low=%d rebroadcaster=N%d" cm.cm_ring_id
-    target low chosen;
   if tel_active t then
     tel_emit t
       (Telemetry.Memb_transition
@@ -417,10 +398,8 @@ and begin_recover t (cm : Wire.commit) =
   if chosen = t.me && target > low then
     for seq = low + 1 to target do
       match Recv_buffer.find t.store seq with
-      | Some p ->
-        trace t "recovery rebroadcast seq=%d" seq;
-        t.lower.send_data p
-      | None -> trace t "recovery: seq=%d already gone (gc)" seq
+      | Some p -> t.lower.send_data p
+      | None -> () (* already garbage-collected *)
     done;
   check_recovery_complete t
 
@@ -494,7 +473,6 @@ and install_new_ring t ~ring_id ~members =
   Timer.start (get_timer t.token_loss_timer) t.const.token_loss_timeout;
   Timer.start (get_timer t.probe_timer) t.const.merge_detect_interval;
   t.rotation_started <- Vtime.ns (-1);
-  trace t "installed ring %d (%d members)" ring_id (Array.length members);
   if tel_active t then
     tel_emit t
       (Telemetry.Ring_installed
@@ -650,7 +628,6 @@ and process_token t (tok : Token.t) =
             t.stats.retransmissions_served <- t.stats.retransmissions_served + 1;
             if tel_active t then
               tel_emit t (Telemetry.Rtr_serve { node = t.me; seq = p.seq });
-            trace t "retransmit seq=%d" p.seq;
             t.lower.send_data p
           end))
     retrans_packets;
@@ -776,7 +753,6 @@ and complete_token_visit t tok ~rotation ~rtr_left ~new_seq ~sent =
     tel_emit t
       (Telemetry.Token_tx
          { node = t.me; tok = tok_info tok'; rtr_len = List.length rtr });
-  trace t "forward %a to N%d" Token.pp tok' dst;
   t.lower.send_token ~dst tok';
   t.last_sent_token <- Some tok';
   Timer.start_if_stopped (get_timer t.token_retransmit_timer)
@@ -972,9 +948,9 @@ let recv_join t (j : Wire.join) =
 
 let allowance_buckets = Array.init 33 float_of_int
 
-let create sim ~cpu ~const ~me ~lower ?trace callbacks =
+let create sim ~cpu ~const ~me ~lower ?telemetry callbacks =
   let rotation_hist, allowance_hist =
-    match trace with
+    match telemetry with
     | Some tl ->
       ( Telemetry.histogram tl (Printf.sprintf "srp.%d.rotation_ms" me),
         Telemetry.histogram ~buckets:allowance_buckets tl
@@ -990,7 +966,7 @@ let create sim ~cpu ~const ~me ~lower ?trace callbacks =
       const;
       me;
       lower;
-      trace;
+      telemetry;
       callbacks;
       stats = fresh_stats ();
       store = Recv_buffer.create ();
@@ -1044,7 +1020,7 @@ let create sim ~cpu ~const ~me ~lower ?trace callbacks =
   (* Expose the protocol counters through the registry as gauges; the
      counters themselves stay plain record fields so the hot path never
      pays a lookup. *)
-  (match trace with
+  (match telemetry with
   | Some tl ->
     let g name read =
       Telemetry.gauge tl

@@ -48,7 +48,7 @@ val create :
   const:Const.t ->
   me:Totem_net.Addr.node_id ->
   lower:Lower.t ->
-  ?trace:Totem_engine.Trace.t ->
+  ?telemetry:Totem_engine.Telemetry.t ->
   callbacks ->
   t
 
@@ -145,7 +145,3 @@ val rotation_histogram : t -> Totem_engine.Stats.Histogram.t
 (** Distribution of full token-rotation times in milliseconds, observed
     at the ring leader (one sample per completed circuit). Always
     collected, independent of tracing. *)
-
-val allowance_histogram : t -> Totem_engine.Stats.Histogram.t
-(** Distribution of the flow-control allowance (packets permitted per
-    token visit); buckets are packet counts, not milliseconds. *)

@@ -31,8 +31,3 @@ let newer_than t ~than = compare (key t) (key than) > 0
 let same_instance a b = key a = key b
 
 let payload_bytes c t = Const.token_payload_bytes c ~rtr_len:(List.length t.rtr)
-
-let pp ppf t =
-  Format.fprintf ppf "token(ring=%d rot=%d hop=%d seq=%d aru=%d fcc=%d rtr=[%s])"
-    t.ring_id t.rotation t.hops t.seq t.aru t.fcc
-    (String.concat ";" (List.map string_of_int t.rtr))

@@ -46,5 +46,3 @@ val same_instance : t -> t -> bool
 
 val payload_bytes : Const.t -> t -> int
 (** Wire size of this token. *)
-
-val pp : Format.formatter -> t -> unit

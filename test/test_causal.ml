@@ -155,6 +155,42 @@ let test_reinstatement_events_attributed () =
     (Telemetry.node_of_event
        (Telemetry.Net_status { net = 0; status = "burst" }))
 
+(* The fabric shard (node -1) holds only node-less network events, so a
+   short loss window stays in it long after protocol traffic has cycled
+   every per-node ring: 48 ms of token rotation must not evict the
+   frame losses injected between t = 8 ms and 12 ms. *)
+let test_fabric_shard_keeps_losses () =
+  let module Telemetry = Totem_engine.Telemetry in
+  let config = Config.make ~num_nodes:4 ~num_nets:2 ~style:Style.Active () in
+  let cluster = Cluster.create config in
+  let telemetry = Cluster.telemetry cluster in
+  let recorder = Recorder.attach ~capacity:64 ~nodes:4 telemetry in
+  let losses = ref [] in
+  ignore
+    (Telemetry.subscribe telemetry (fun time ev ->
+         match ev with
+         | Telemetry.Frame_loss _ ->
+           losses := Telemetry.json_of_event time ev :: !losses
+         | _ -> ()));
+  Cluster.start cluster;
+  Workload.fixed_rate cluster ~node:0 ~size:200 ~interval:(Vtime.us 250)
+    ~count:240 ();
+  Cluster.run_for cluster (Vtime.ms 8);
+  Cluster.set_network_loss cluster 0 0.5;
+  Cluster.run_for cluster (Vtime.ms 4);
+  Cluster.set_network_loss cluster 0 0.0;
+  Cluster.run_until cluster (Vtime.ms 60);
+  let losses = List.rev !losses in
+  Alcotest.(check bool)
+    (Printf.sprintf "loss window dropped frames (%d)" (List.length losses))
+    true (losses <> []);
+  let fabric =
+    Option.value ~default:[] (List.assoc_opt (-1) (Recorder.dump_jsonl recorder))
+  in
+  Alcotest.(check (list string)) "fabric shard still holds every frame loss"
+    losses
+    (List.filter (fun line -> List.mem line losses) fabric)
+
 let tests =
   [
     Alcotest.test_case "trace id round trip" `Quick test_tid_round_trip;
@@ -169,4 +205,6 @@ let tests =
       test_tracing_changes_nothing;
     Alcotest.test_case "reinstatement events attributed to their node" `Quick
       test_reinstatement_events_attributed;
+    Alcotest.test_case "fabric shard keeps the frame losses" `Quick
+      test_fabric_shard_keeps_losses;
   ]

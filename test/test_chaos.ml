@@ -6,6 +6,7 @@ module Telemetry = Totem_engine.Telemetry
 module Campaign = Totem_chaos.Campaign
 module Invariant = Totem_chaos.Invariant
 module Runner = Totem_chaos.Runner
+module Chaos_json = Totem_chaos.Chaos_json
 
 (* --- DSL ------------------------------------------------------------- *)
 
@@ -194,7 +195,8 @@ let test_shrink_round_trip () =
   let path = Filename.temp_file "totem" ".chaos.json" in
   Runner.write_counterexample ~path
     {
-      Runner.cx_campaign = s.Runner.minimized;
+      Runner.cx_schema = Runner.schema;
+      cx_campaign = s.Runner.minimized;
       cx_monitor = broken_monitor;
       cx_violation = Some v';
       cx_shrunk = true;
@@ -209,6 +211,49 @@ let test_shrink_round_trip () =
   | Ok (Runner.Diverged (_, why)) -> Alcotest.failf "replay diverged: %s" why
   | Ok (Runner.Clean_replay _) -> Alcotest.fail "replay came back clean"
   | Error m -> Alcotest.failf "replay failed: %s" m
+
+(* A v2 file: the same capture, but its fabric shard (node -1) also
+   holds the string-trace [custom] events v2 recorders kept. The reader
+   still loads it and the replay compares the per-node shards only. *)
+let test_v2_counterexample_replays () =
+  let campaign, _ = find_violating_campaign () in
+  let r = Runner.run ~monitor:broken_monitor campaign in
+  let custom =
+    match
+      Chaos_json.parse
+        {|{"t_ns":80000,"type":"custom","component":"srp0","message":"forward token(ring=1 rot=0 hop=1 seq=0 aru=0 fcc=0 rtr=[]) to N1"}|}
+    with
+    | Ok v -> v
+    | Error m -> Alcotest.failf "fixture: %s" m
+  in
+  let history =
+    List.filter (fun (node, _) -> node >= 0) (Runner.history_json r)
+    @ [ (-1, [ custom; custom ]) ]
+  in
+  let cx schema =
+    {
+      Runner.cx_schema = schema;
+      cx_campaign = campaign;
+      cx_monitor = broken_monitor;
+      cx_violation = List.nth_opt r.Runner.violations 0;
+      cx_shrunk = true;
+      cx_history = history;
+    }
+  in
+  let path = Filename.temp_file "totem" ".chaos.json" in
+  Runner.write_counterexample ~path (cx "totem-chaos/v2");
+  let outcome = Runner.replay_file ~path in
+  Sys.remove path;
+  (match outcome with
+  | Ok (Runner.Reproduced _) -> ()
+  | Ok (Runner.Diverged (_, why)) -> Alcotest.failf "v2 replay diverged: %s" why
+  | Ok (Runner.Clean_replay _) -> Alcotest.fail "v2 replay came back clean"
+  | Error m -> Alcotest.failf "v2 file rejected: %s" m);
+  (* The same history labelled v3 is compared shard for shard, fabric
+     included, so the string traces make it diverge. *)
+  match Runner.replay (cx Runner.schema) with
+  | Runner.Diverged _ -> ()
+  | _ -> Alcotest.fail "v3 replay must compare the fabric shard"
 
 let test_liveness_misthreshold_shrinks_to_nothing () =
   (* token_gap = 0 condemns any instant without a token reception: the
@@ -278,6 +323,8 @@ let tests =
       test_json_round_trip_gray;
     Alcotest.test_case "violation -> shrink -> replay round trip" `Slow
       test_shrink_round_trip;
+    Alcotest.test_case "v2 counterexample still loads and replays" `Slow
+      test_v2_counterexample_replays;
     Alcotest.test_case "liveness mis-threshold shrinks to empty" `Slow
       test_liveness_misthreshold_shrinks_to_nothing;
     Alcotest.test_case "replay determinism (identical dumps)" `Slow

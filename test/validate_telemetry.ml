@@ -1,6 +1,7 @@
 (* Validator for the telemetry export formats, run from the bench-smoke
    alias: checks that a totem_sim trace (--trace-out) is well-formed
-   JSONL with monotone timestamps and that a metrics dump
+   JSONL with monotone timestamps and documented event types, and that a
+   metrics dump
    (--metrics-out) is a well-formed totem-metrics/v1 document. The JSON
    parser is deliberately minimal — no dependency, strict enough to
    catch an exporter emitting unescaped strings, bad numbers, or
@@ -199,8 +200,27 @@ let read_file path =
   close_in ic;
   s
 
-(* Every line an object carrying at least t_ns + type, timestamps
-   monotone non-decreasing (the trace is emitted in simulation order). *)
+(* The JSONL type tags documented in OBSERVABILITY.md ("Trace events").
+   Kept here as a literal rather than read from the writer, so a new or
+   renamed event must be documented before an export carrying it
+   validates. *)
+let documented_types =
+  [
+    "token_rx"; "token_tx"; "token_copy_rx"; "token_retransmit"; "token_loss";
+    "token_hold"; "token_release";
+    "msg_tx"; "msg_deliver"; "dup_drop"; "rtr_request"; "rtr_serve";
+    "msg_originate"; "msg_defer"; "msg_ordered"; "packet_send"; "packet_recv";
+    "problem_incr"; "problem_decay"; "problem_threshold"; "recv_lag";
+    "net_fault_marked";
+    "net_condemned"; "net_probation"; "net_reinstated";
+    "memb_transition"; "ring_installed";
+    "frame_loss"; "frame_blocked"; "buffer_drop"; "net_status";
+    "frame_corrupt"; "frame_crc_reject"; "frame_decode_reject";
+  ]
+
+(* Every line an object carrying at least t_ns + a documented type,
+   timestamps monotone non-decreasing (the trace is emitted in
+   simulation order). *)
 let validate_trace path =
   let ic = open_in path in
   let lines = ref 0 and last_t = ref neg_infinity in
@@ -216,7 +236,10 @@ let validate_trace path =
          in
          (match v with Obj _ -> () | _ -> bad "%s: not a JSON object" where);
          let t = require_num v "t_ns" where in
-         let _ = require_str v "type" where in
+         let ty = require_str v "type" where in
+         if not (List.mem ty documented_types) then
+           bad "%s: event type \"%s\" is not documented in OBSERVABILITY.md"
+             where ty;
          if t < !last_t then
            bad "%s: t_ns %.0f goes backwards (previous %.0f)" where t !last_t;
          last_t := t
